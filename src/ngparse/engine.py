@@ -64,8 +64,8 @@ def model_selector(g: Grammar, model: GuiderModel):
     pairs for applicable rules, best first."""
     model.check_grammar(g)
 
-    def select(tokens, nt: Nonterminal):
-        probs = predict_rule_distribution(g, tokens, nt, model)
+    def select(tokens, nt: Nonterminal, states: dict):
+        probs = predict_rule_distribution(g, tokens, nt, model, states=states)
         ranked = [
             (r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
             for r in g.rules_for(nt)
@@ -78,9 +78,9 @@ def model_selector(g: Grammar, model: GuiderModel):
 
 def oracle_selector(g: Grammar):
     """Point-mass selector on the reference parser's root rule; used for
-    oracle-equivalence testing."""
+    oracle-equivalence testing. It has no encoder, so it ignores states."""
 
-    def select(tokens, nt: Nonterminal):
+    def select(tokens, nt: Nonterminal, states: dict):
         try:
             t = reference_parse(g, tokens, nt)
         except ParseError:
@@ -99,8 +99,12 @@ def infer(
 ) -> Ast:
     """Algorithm: select a rule for (tokens, nt), decompose, recurse.
 
-    selector(tokens, nt) -> [(rule_id, logprob)] sorted best-first, e.g.
-    from model_selector or oracle_selector.
+    selector(tokens, nt, states) -> [(rule_id, logprob)] sorted best-first,
+    e.g. from model_selector or oracle_selector. tokens is a span of the
+    input. states is one dict per infer call, for the selector to keep
+    what its calls on this input share (model_selector: the encoder's
+    prefix trie, see guider.encode); it is dropped when the call returns.
+    Within a call the selector is asked about each (span, nt) once.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -108,12 +112,21 @@ def infer(
     if nt is None:
         nt = g.start
 
+    states, memo = {}, {}
+
+    def select(toks, goal):
+        key = (toks, goal.id)
+        ranked = memo.get(key)
+        if ranked is None:
+            ranked = memo[key] = selector(toks, goal, states)
+        return ranked
+
     if cfg.mode == "greedy":
-        result = _infer_greedy(g, tokens, nt, selector, cfg, 1)
+        result = _infer_greedy(g, tokens, nt, select, cfg, 1)
     elif cfg.mode == "fallback":
-        result = _infer_fallback(g, tokens, nt, selector, cfg, 1)
+        result = _infer_fallback(g, tokens, nt, select, cfg, 1)
     else:
-        result = _infer_beam(g, tokens, nt, selector, cfg)
+        result = _infer_beam(g, tokens, nt, select, cfg)
 
     if cfg.verify_reconstruction and pretty_print(g, result) != tokens:
         raise InconsistentParse("reconstructed yield differs from input")

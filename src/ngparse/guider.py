@@ -112,10 +112,16 @@ def gru_cell(params: dict, x, h):
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
         raise GuiderError("non-finite input to recurrent cell")
+    return _gru_step(params, x, h)[0]
+
+
+def _gru_step(params: dict, x, h):
+    """The cell's equations without input checks; returns (new state, z,
+    r, cand), the gate values being what backprop needs."""
     z = _sigmoid(x @ params["W_z"] + h @ params["U_z"] + params["b_z"])
     r = _sigmoid(x @ params["W_r"] + h @ params["U_r"] + params["b_r"])
     cand = np.tanh(x @ params["W_h"] + (r * h) @ params["U_h"] + params["b_h"])
-    return (1.0 - z) * h + z * cand
+    return (1.0 - z) * h + z * cand, z, r, cand
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +159,7 @@ def _forward(params: dict, seqs, want_cache: bool):
     steps = []
     for t in range(T):
         xt = params["embedding"][ids[:, t]]
-        z = _sigmoid(xt @ params["W_z"] + h @ params["U_z"] + params["b_z"])
-        r = _sigmoid(xt @ params["W_r"] + h @ params["U_r"] + params["b_r"])
-        cand = np.tanh(xt @ params["W_h"] + (r * h) @ params["U_h"] + params["b_h"])
-        h_new = (1.0 - z) * h + z * cand
+        h_new, z, r, cand = _gru_step(params, xt, h)
         at = active[:, t][:, None]
         h_next = np.where(at, h_new, h)
         if want_cache:
@@ -219,17 +222,40 @@ def _rule_masks(g: Grammar) -> np.ndarray:
     return masks
 
 
-def encode(g: Grammar, tokens, m: GuiderModel) -> np.ndarray:
-    """Final hidden state of the encoder for one token sequence."""
-    h, _ = _forward(m.params, [tuple(tokens)], want_cache=False)
+def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarray:
+    """Final hidden state of the encoder for one token sequence.
+
+    states is a prefix trie of hidden states, {token id: (state after that
+    token, child trie)}, that calls on sequences of one input can share:
+    the GRU runs only for the tokens past the longest prefix already in
+    it. The states are those of a batch-1 _forward, bit for bit. Without
+    states the trie is fresh, so nothing is reused.
+    """
+    params = m.params
+    emb = params["embedding"]
+    tokens = tuple(tokens)
+    if not tokens:
+        raise GuiderError("empty token sequence")
+    node = {} if states is None else states
+    h = np.zeros((1, params["U_z"].shape[0]), dtype=emb.dtype)
+    for tid in tokens:
+        entry = node.get(tid)
+        if entry is None:
+            if not 0 <= tid < emb.shape[0]:
+                raise GuiderError(f"unknown token id {tid}")
+            entry = node[tid] = (_gru_step(params, emb[[tid]], h)[0], {})
+        h, node = entry
     return h[0]
 
 
-def predict_rule_distribution(g: Grammar, tokens, nt: Nonterminal, m: GuiderModel):
+def predict_rule_distribution(
+    g: Grammar, tokens, nt: Nonterminal, m: GuiderModel, states: dict = None
+):
     """Probability vector over all rule ids; inapplicable rules get
-    exactly 0, applicable ones a softmax of their logits."""
+    exactly 0, applicable ones a softmax of their logits. states is
+    passed on to encode."""
     applicable = [r.id for r in g.rules_for(nt)]
-    h = encode(g, tokens, m)
+    h = encode(g, tokens, m, states=states)
     logits = h @ m.params["W_out"] + m.params["b_out"]
     sub = logits[applicable].astype(np.float64)
     sub -= sub.max()

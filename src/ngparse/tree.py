@@ -28,7 +28,7 @@ class TreeError(Exception):
     """Malformed tree or unreadable tree text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ast:
     rule_id: int
     children: tuple = ()

@@ -223,19 +223,26 @@ def test_criterion_6_latency(grid_records):
 # 7. Baseline contrast
 
 
-def _median_search_time(g, length: int, n: int = 25) -> float:
-    corpus = sample_corpus(
-        g,
-        SampleBucket(length, length, 1, 12, seed=derive_seed("accept", 7, length)),
-        n,
-    )
+def _median_search_times(g, lengths, n: int = 25) -> list:
+    """Median search time per length. The searches alternate between the
+    lengths program by program, so a slow spell of the host falls on all
+    of them alike."""
+    corpora = [
+        sample_corpus(
+            g,
+            SampleBucket(length, length, 1, 12, seed=derive_seed("accept", 7, length)),
+            n,
+        )
+        for length in lengths
+    ]
     cfg = SearchConfig(max_depth=24, time_limit_s=120.0)
-    times = []
-    for tokens, _ in corpus:
-        res = iddfs_parse(g, tokens, cfg)
-        assert res.status == "found"
-        times.append(res.elapsed_s)
-    return statistics.median(times)
+    times = [[] for _ in lengths]
+    for programs in zip(*corpora):
+        for (tokens, _), out in zip(programs, times):
+            res = iddfs_parse(g, tokens, cfg)
+            assert res.status == "found"
+            out.append(res.elapsed_s)
+    return [statistics.median(t) for t in times]
 
 
 def test_criterion_7_baseline_contrast(g, full_model):
@@ -255,8 +262,7 @@ def test_criterion_7_baseline_contrast(g, full_model):
         )
     )
 
-    med8 = _median_search_time(g, 8)
-    med16 = _median_search_time(g, 16)
+    med8, med16 = _median_search_times(g, (8, 16))
 
     model, _, _ = full_model
     selector = model_selector(g, model)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ngparse import guider
 from ngparse.engine import (
     DepthLimitExceeded,
     InferConfig,
@@ -126,3 +127,44 @@ def test_infer_file_empty(g, small_trained, tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("")
     assert infer_file(g, path, model_selector(g, small_trained)) == []
+
+
+def test_fallback_encodes_each_span_prefix_once_per_call(g, small_trained, monkeypatch):
+    steps = []
+    step = guider._gru_step
+    monkeypatch.setattr(
+        guider, "_gru_step", lambda *a: steps.append(1) or step(*a)
+    )
+    model_select = model_selector(g, small_trained)
+    spans = set()
+
+    def selector(tokens, nt, states):
+        spans.add(tokens)
+        return model_select(tokens, nt, states)
+
+    cfg = InferConfig(mode="fallback")
+    tokens, truth = sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=26), 1)[0]
+    assert ast_equal(infer(g, tokens, selector, cfg), truth)
+    prefixes = {s[:i] for s in spans for i in range(1, len(s) + 1)}
+    first = len(steps)
+    assert first == len(prefixes)
+    infer(g, tokens, selector, cfg)
+    assert len(steps) == 2 * first
+
+
+@pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
+def test_shared_states_do_not_change_trees(g, small_trained, mode):
+    shared = model_selector(g, small_trained)
+
+    def unshared(tokens, nt, states):
+        return shared(tokens, nt, {})
+
+    cfg = InferConfig(mode=mode)
+    for tokens, _ in sample_corpus(g, SampleBucket(8, 30, 1, 11, seed=27), 30):
+        try:
+            expect = infer(g, tokens, unshared, cfg)
+        except Unparseable:
+            with pytest.raises(Unparseable):
+                infer(g, tokens, shared, cfg)
+            continue
+        assert infer(g, tokens, shared, cfg) == expect

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ngparse import guider
 from ngparse.guider import (
     AdamState,
     GuiderError,
     GuiderModel,
     TrainConfig,
+    _forward,
     adam_step,
     encode,
     gru_cell,
@@ -105,6 +107,47 @@ def test_encode_rejects_unknown_token(g, tiny_model):
         encode(g, (999,), tiny_model)
     with pytest.raises(GuiderError):
         encode(g, (), tiny_model)
+
+
+@pytest.mark.parametrize("d_emb,d_h", [(8, 16), (64, 256)])
+def test_encode_shared_trie_matches_forward_on_every_subspan(g, d_emb, d_h):
+    m = init_model(g, d_emb=d_emb, d_h=d_h, seed=4)
+    corpus = sample_corpus(g, SampleBucket(30, 30, 1, 12, seed=31), 2)
+    for tokens, _ in corpus:
+        states = {}
+        for i in range(len(tokens)):
+            for j in range(i + 1, len(tokens) + 1):
+                span = tokens[i:j]
+                alone, _ = _forward(m.params, [span], want_cache=False)
+                assert np.array_equal(encode(g, span, m, states=states), alone[0])
+
+
+def test_encode_errors_unchanged_with_states(g, tiny_model):
+    states = {}
+    toks = g.encode("v0 = 1 ;")
+    expect = encode(g, toks, tiny_model)
+    with pytest.raises(GuiderError, match="empty token sequence"):
+        encode(g, (), tiny_model, states=states)
+    with pytest.raises(GuiderError, match="unknown token id 999"):
+        encode(g, toks[:2] + (999,), tiny_model, states=states)
+    with pytest.raises(GuiderError, match="unknown token id -1"):
+        encode(g, (-1,), tiny_model, states=states)
+    assert np.array_equal(encode(g, toks, tiny_model, states=states), expect)
+
+
+def test_encode_runs_one_step_per_new_prefix(g, tiny_model, monkeypatch):
+    steps = []
+    step = guider._gru_step
+    monkeypatch.setattr(
+        guider, "_gru_step", lambda *a: steps.append(1) or step(*a)
+    )
+    states = {}
+    encode(g, g.encode("v0 = 1 ;"), tiny_model, states=states)
+    encode(g, g.encode("v0 = 2 ;"), tiny_model, states=states)
+    encode(g, g.encode("v0 ="), tiny_model, states=states)
+    assert len(steps) == 4 + 2
+    encode(g, g.encode("v0 ="), tiny_model)
+    assert len(steps) == 6 + 2
 
 
 # ---------------------------------------------------------------------------
