@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluate, guider, sampler
 from .engine import InferConfig, InferenceError, infer, model_selector
-from .grammar import Nonterminal, build_grammar
+from .grammar import GrammarError, Nonterminal, build_grammar
 from .parser import ParseError, reference_parse
 from .search import SearchConfig, iddfs_parse
 from .tree import serialize
@@ -174,12 +174,16 @@ def _cmd_infer(g, args) -> int:
     cfg = InferConfig(mode=args.mode, beam_width=args.beam_width)
     for line in _stdin_lines():
         try:
-            tree = infer(g, g.encode(line), selector, cfg)
-            print(serialize(g, tree))
+            tokens = g.encode(line)
+        except GrammarError:
+            print("ERROR bad_input")
+            continue
+        # Anything else is a fault of the model or the program, not of
+        # this line: it propagates and main exits 2.
+        try:
+            print(serialize(g, infer(g, tokens, selector, cfg)))
         except InferenceError as exc:
             print(f"ERROR {exc.kind}")
-        except Exception as exc:
-            print(f"ERROR bad_input")
     return 0
 
 

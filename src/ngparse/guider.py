@@ -35,7 +35,22 @@ __all__ = [
 _MAGIC = b"NGSI1"
 
 _GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
-_PARAM_NAMES = ("embedding",) + _GATE_NAMES + ("W_out", "b_out")
+# Axes of every tensor: V and R come from the grammar, d_emb and d_h from
+# the model itself.
+_SHAPES = {
+    "embedding": ("V", "d_emb"),
+    "W_z": ("d_emb", "d_h"),
+    "U_z": ("d_h", "d_h"),
+    "b_z": ("d_h",),
+    "W_r": ("d_emb", "d_h"),
+    "U_r": ("d_h", "d_h"),
+    "b_r": ("d_h",),
+    "W_h": ("d_emb", "d_h"),
+    "U_h": ("d_h", "d_h"),
+    "b_h": ("d_h",),
+    "W_out": ("d_h", "R"),
+    "b_out": ("R",),
+}
 
 
 class GuiderError(Exception):
@@ -50,11 +65,35 @@ class TrainingDiverged(GuiderError):
 
 @dataclass
 class GuiderModel:
+    """The guider's tensors by name (the names save_model writes), plus the
+    encoder's packed gate layout.
+
+    On construction the nine gate tensors are packed side by side, columns
+    (z | r | h), into W [d_emb, 3*d_h], U [d_h, 3*d_h] and b [3*d_h], and
+    the model keeps its own copy of the params dict whose gate entries are
+    column views of those arrays. Update them in place (p -= ...,
+    p[...] = ...), as adam_step does: the encoder reads W, U and b, so a
+    gate entry rebound to a new array would no longer reach it.
+    """
+
     params: dict
     d_emb: int
     d_h: int
     vocab_fingerprint: int
     rule_fingerprint: int
+    W: np.ndarray = field(init=False, repr=False, compare=False)
+    U: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params = dict(self.params)
+        self.W, self.U, self.b = _pack(self.params)
+        d = self.b.shape[0] // 3
+        for k, gate in enumerate("zrh"):
+            cols = slice(k * d, (k + 1) * d)
+            self.params[f"W_{gate}"] = self.W[:, cols]
+            self.params[f"U_{gate}"] = self.U[:, cols]
+            self.params[f"b_{gate}"] = self.b[cols]
 
     def check_grammar(self, g: Grammar) -> None:
         if (
@@ -99,8 +138,20 @@ def init_model(
     )
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(x):
+    """x <- 1 / (1 + exp(-x)), the same arithmetic as written out."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def _pack(params: dict):
+    """(W, U, b): the gate tensors side by side, columns (z | r | h)."""
+    return tuple(
+        np.concatenate([params[f"{kind}_{gate}"] for gate in "zrh"], axis=-1)
+        for kind in "WUb"
+    )
 
 
 def gru_cell(params: dict, x, h):
@@ -112,15 +163,29 @@ def gru_cell(params: dict, x, h):
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
         raise GuiderError("non-finite input to recurrent cell")
-    return _gru_step(params, x, h)[0]
+    W, U, b = _pack(params)
+    return _gru_step(U, b, x @ W, h)[0]
 
 
-def _gru_step(params: dict, x, h):
-    """The cell's equations without input checks; returns (new state, z,
-    r, cand), the gate values being what backprop needs."""
-    z = _sigmoid(x @ params["W_z"] + h @ params["U_z"] + params["b_z"])
-    r = _sigmoid(x @ params["W_r"] + h @ params["U_r"] + params["b_r"])
-    cand = np.tanh(x @ params["W_h"] + (r * h) @ params["U_h"] + params["b_h"])
+def _gru_step(U, b, xw, h):
+    """The cell's equations on the packed layout, without input checks.
+
+    xw is the input's product x @ W with all three gates, columns
+    (z | r | h); z and r share one matmul with U. The sums are associated
+    as (x @ W_g + h @ U_g) + b_g, the order of one matmul per gate, so the
+    packed layout changes no bit of the result. Returns (new state, z, r,
+    cand), the gate values being what backprop needs.
+    """
+    d = h.shape[-1]
+    zr = h @ U[:, : 2 * d]
+    zr += xw[..., : 2 * d]
+    zr += b[: 2 * d]
+    _sigmoid_inplace(zr)
+    z, r = zr[..., :d], zr[..., d:]
+    cand = (r * h) @ U[:, 2 * d :]
+    cand += xw[..., 2 * d :]
+    cand += b[2 * d :]
+    np.tanh(cand, out=cand)
     return (1.0 - z) * h + z * cand, z, r, cand
 
 
@@ -139,13 +204,14 @@ def _pad(seqs):
     return ids, active
 
 
-def _forward(params: dict, seqs, want_cache: bool):
+def _forward(m: GuiderModel, seqs, want_cache: bool):
     """Run the encoder over a batch of token-id sequences.
 
     Returns (final hidden states [B, d_h], cache for backprop or None).
     Padded positions carry the previous hidden state through unchanged.
     """
-    V = params["embedding"].shape[0]
+    emb = m.params["embedding"]
+    V = emb.shape[0]
     for s in seqs:
         if len(s) == 0:
             raise GuiderError("empty token sequence")
@@ -154,12 +220,11 @@ def _forward(params: dict, seqs, want_cache: bool):
                 raise GuiderError(f"unknown token id {tid}")
     ids, active = _pad(seqs)
     B, T = ids.shape
-    dtype = params["embedding"].dtype
-    h = np.zeros((B, params["U_z"].shape[0]), dtype=dtype)
+    h = np.zeros((B, m.U.shape[0]), dtype=emb.dtype)
     steps = []
     for t in range(T):
-        xt = params["embedding"][ids[:, t]]
-        h_new, z, r, cand = _gru_step(params, xt, h)
+        xt = emb[ids[:, t]]
+        h_new, z, r, cand = _gru_step(m.U, m.b, xt @ m.W, h)
         at = active[:, t][:, None]
         h_next = np.where(at, h_new, h)
         if want_cache:
@@ -225,25 +290,30 @@ def _rule_masks(g: Grammar) -> np.ndarray:
 def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarray:
     """Final hidden state of the encoder for one token sequence.
 
-    states is a prefix trie of hidden states, {token id: (state after that
-    token, child trie)}, that calls on sequences of one input can share:
-    the GRU runs only for the tokens past the longest prefix already in
-    it. The states are those of a batch-1 _forward, bit for bit. Without
-    states the trie is fresh, so nothing is reused.
+    states is what calls on sequences of one input (one parse) share:
+    under the key "proj" the input projection table {token id:
+    embedding[id] @ W}, each row made on first use, and under the token
+    ids a prefix trie of hidden states {token id: (state after that token,
+    child trie)}; the GRU runs only for the tokens past the longest prefix
+    already in it. The states are those of a batch-1 _forward, bit for
+    bit. Without states both are fresh, so nothing is reused.
     """
-    params = m.params
-    emb = params["embedding"]
+    emb = m.params["embedding"]
     tokens = tuple(tokens)
     if not tokens:
         raise GuiderError("empty token sequence")
     node = {} if states is None else states
-    h = np.zeros((1, params["U_z"].shape[0]), dtype=emb.dtype)
+    proj = node.setdefault("proj", {})
+    h = np.zeros((1, m.U.shape[0]), dtype=emb.dtype)
     for tid in tokens:
         entry = node.get(tid)
         if entry is None:
-            if not 0 <= tid < emb.shape[0]:
-                raise GuiderError(f"unknown token id {tid}")
-            entry = node[tid] = (_gru_step(params, emb[[tid]], h)[0], {})
+            xw = proj.get(tid)
+            if xw is None:
+                if not 0 <= tid < emb.shape[0]:
+                    raise GuiderError(f"unknown token id {tid}")
+                xw = proj[tid] = emb[[tid]] @ m.W
+            entry = node[tid] = (_gru_step(m.U, m.b, xw, h)[0], {})
         h, node = entry
     return h[0]
 
@@ -278,7 +348,7 @@ def loss_and_gradients(g: Grammar, batch, m: GuiderModel):
             )
     params = m.params
     seqs = [p.tokens for p in batch]
-    h, cache = _forward(params, seqs, want_cache=True)
+    h, cache = _forward(m, seqs, want_cache=True)
     logits = h @ params["W_out"] + params["b_out"]
 
     B, R = logits.shape
@@ -367,7 +437,7 @@ def _step_accuracy(g: Grammar, m: GuiderModel, pairs, chunk: int = 512) -> float
     correct = 0
     for lo in range(0, len(pairs), chunk):
         part = pairs[lo : lo + chunk]
-        h, _ = _forward(m.params, [p.tokens for p in part], want_cache=False)
+        h, _ = _forward(m, [p.tokens for p in part], want_cache=False)
         logits = h @ m.params["W_out"] + m.params["b_out"]
         bm = masks[[p.nt.id for p in part]]
         logits = np.where(bm, logits, -np.inf)
@@ -466,6 +536,25 @@ def save_model(m: GuiderModel, path) -> None:
             fh.write(arr.tobytes())
 
 
+def _check_shapes(params: dict, V: int, R: int) -> None:
+    """Raise GuiderError naming the first tensor whose shape does not match
+    _SHAPES, with d_emb and d_h read off embedding and U_z."""
+    emb, u_z = params["embedding"], params["U_z"]
+    dims = {
+        "V": V,
+        "R": R,
+        "d_emb": emb.shape[1] if emb.ndim == 2 else None,
+        "d_h": u_z.shape[0] if u_z.ndim == 2 else None,
+    }
+    for name, axes in _SHAPES.items():
+        want = tuple(dims[a] for a in axes)
+        if params[name].shape != want:
+            raise GuiderError(
+                f"tensor {name} has shape {params[name].shape}, expected "
+                f"[{', '.join(axes)}] = {want}"
+            )
+
+
 def load_model(path, g: Grammar) -> GuiderModel:
     def take(fh, n, what):
         data = fh.read(n)
@@ -494,9 +583,10 @@ def load_model(path, g: Grammar) -> GuiderModel:
             data = take(fh, 4 * count, f"tensor {name}")
             params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
 
-    missing = set(_PARAM_NAMES) - set(params)
+    missing = set(_SHAPES) - set(params)
     if missing:
         raise GuiderError(f"model file missing tensors: {sorted(missing)}")
+    _check_shapes(params, V=len(g.vocabulary), R=len(g.rules))
     return GuiderModel(
         params,
         d_emb=params["embedding"].shape[1],

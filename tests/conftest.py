@@ -1,5 +1,6 @@
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import ngparse
 from ngparse.grammar import build_grammar
 from ngparse.guider import TrainConfig, init_model, save_model, train
 from ngparse.sampler import curriculum_schedule
+
+# The benchmark's trained model, read but never written by the tests.
+FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model.bin"
 
 
 def cli_env():
@@ -23,6 +27,20 @@ def cli_env():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def save_with_tensors(path, m, **tensors):
+    """Write m's model file with the given tensors replaced. Goes through a
+    stand-in object, because a GuiderModel cannot hold a mis-shaped gate
+    tensor."""
+    save_model(
+        SimpleNamespace(
+            params=dict(m.params, **tensors),
+            rule_fingerprint=m.rule_fingerprint,
+            vocab_fingerprint=m.vocab_fingerprint,
+        ),
+        path,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
+import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, save_with_tensors
+from ngparse import cli, engine
 
 
 def run_cli(args, stdin=""):
@@ -85,6 +88,32 @@ def test_infer_and_inspect_model(g, small_model_path):
     assert shapes["embedding"] == "33x32"
     assert shapes["U_z"] == "64x64"
     assert shapes["W_out"] == "64x32"
+
+
+def test_infer_misshaped_model_exits_two(tiny_model, tmp_path):
+    path = tmp_path / "bad.bin"
+    save_with_tensors(path, tiny_model, W_out=np.zeros((16, 5), dtype=np.float32))
+    res = run_cli(["infer", "--model", str(path)], stdin="v0 = 1 ;\nv0 v0 ;\n")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: tensor W_out")
+    assert "ERROR bad_input" not in res.stdout
+
+
+def test_infer_fault_during_parse_exits_two(g, small_model_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("matmul: mismatch")
+
+    monkeypatch.setattr(engine, "predict_rule_distribution", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 ;\nv0 v0 ;\n"))
+    assert cli.main(["infer", "--model", str(small_model_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: matmul: mismatch\n"
+
+
+def test_infer_unknown_token_is_bad_input(g, small_model_path):
+    res = run_cli(["infer", "--model", str(small_model_path)], stdin="v0 = frob ;\nv0 = 1 ;\n")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["ERROR bad_input", "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"]
 
 
 def test_eval_cli(g, small_model_path, tmp_path):

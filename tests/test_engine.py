@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import pytest
 
+from conftest import FIXTURE_MODEL
 from ngparse import guider
 from ngparse.engine import (
     DepthLimitExceeded,
     InferConfig,
+    InferenceError,
     Unparseable,
     infer,
     infer_file,
@@ -168,3 +171,25 @@ def test_shared_states_do_not_change_trees(g, small_trained, mode):
                 infer(g, tokens, shared, cfg)
             continue
         assert infer(g, tokens, shared, cfg) == expect
+
+
+# sha256 of the trees and error kinds below, computed with the unfused
+# encoder (one matmul per gate). A change to the encoder's arithmetic that
+# flips any of these 540 parses changes it.
+PINNED_TREES_SHA256 = "a5a57fe023c22728ff0ef95f03bfec934aa4314bf0f41273ada7967f7d49972d"
+
+
+def test_fixture_model_trees_are_pinned(g):
+    selector = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    lines = []
+    for bucket in [(30, 30, 11, 11), (8, 15, 1, 9), (16, 24, 5, 10)]:
+        corpus = sample_corpus(g, SampleBucket(*bucket, seed=41), 60)
+        for mode in ("greedy", "fallback", "beam"):
+            for tokens, _ in corpus:
+                try:
+                    out = serialize(g, infer(g, tokens, selector, InferConfig(mode=mode)))
+                except InferenceError as exc:
+                    out = f"ERROR {exc.kind}"
+                lines.append(f"{bucket} {mode} {out}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_TREES_SHA256

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import FIXTURE_MODEL, save_with_tensors
 from ngparse import guider
 from ngparse.guider import (
     AdamState,
@@ -118,7 +120,7 @@ def test_encode_shared_trie_matches_forward_on_every_subspan(g, d_emb, d_h):
         for i in range(len(tokens)):
             for j in range(i + 1, len(tokens) + 1):
                 span = tokens[i:j]
-                alone, _ = _forward(m.params, [span], want_cache=False)
+                alone, _ = _forward(m, [span], want_cache=False)
                 assert np.array_equal(encode(g, span, m, states=states), alone[0])
 
 
@@ -148,6 +150,51 @@ def test_encode_runs_one_step_per_new_prefix(g, tiny_model, monkeypatch):
     assert len(steps) == 4 + 2
     encode(g, g.encode("v0 ="), tiny_model)
     assert len(steps) == 6 + 2
+
+
+def test_encode_matches_per_gate_reference_at_full_size(g):
+    # The cell equations with one matmul per named gate tensor, at the
+    # default size; the scalar oracle above only covers d = 2.
+    m = init_model(g, d_emb=64, d_h=256, seed=8)
+    p = m.params
+    rng = np.random.default_rng(8)
+    for name in ("b_z", "b_r", "b_h"):
+        p[name][...] = rng.uniform(-0.5, 0.5, size=256)
+
+    def sig(v):
+        return 1 / (1 + np.exp(-v))
+
+    for tokens, _ in sample_corpus(g, SampleBucket(20, 30, 5, 11, seed=9), 3):
+        h = np.zeros((1, 256), dtype=np.float32)
+        for tid in tokens:
+            x = p["embedding"][[tid]]
+            z = sig(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+            r = sig(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+            cand = np.tanh(x @ p["W_h"] + (r * h) @ p["U_h"] + p["b_h"])
+            h = (1 - z) * h + z * cand
+        assert np.abs(encode(g, tokens, m) - h[0]).max() <= 1e-6
+
+
+def _rebuilt(m):
+    return GuiderModel(
+        {name: p.copy() for name, p in m.params.items()},
+        m.d_emb, m.d_h, m.vocab_fingerprint, m.rule_fingerprint,
+    )
+
+
+def test_in_place_updates_reach_the_packed_gates(g):
+    m = init_model(g, d_emb=8, d_h=16, seed=6)
+    toks = g.encode("v0 = 1 + 2 ;")
+    m.params["U_r"][...] = 0.0
+    assert not m.U[:, 16:32].any()
+    assert np.array_equal(encode(g, toks, m), encode(g, toks, _rebuilt(m)))
+
+    before = encode(g, toks, m)
+    _, grads = loss_and_gradients(g, _some_pairs(g, n=4), m)
+    adam_step(AdamState(lr=1e-2), m.params, grads)
+    after = encode(g, toks, m)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, encode(g, toks, _rebuilt(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +421,21 @@ def test_load_rejects_bad_magic(g, tiny_model, tmp_path):
     data[:5] = b"XXXXX"
     path.write_bytes(bytes(data))
     with pytest.raises(GuiderError, match="magic"):
+        load_model(path, g)
+
+
+
+def test_fixture_model_round_trips_byte_for_byte(g, tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(load_model(FIXTURE_MODEL, g), path)
+    assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
+
+
+@pytest.mark.parametrize("name,shape", [("W_out", (16, 5)), ("U_r", (16, 15)), ("b_h", (15,))])
+def test_load_rejects_misshaped_tensor(g, tiny_model, tmp_path, name, shape):
+    path = tmp_path / "m.bin"
+    save_with_tensors(path, tiny_model, **{name: np.zeros(shape, dtype=np.float32)})
+    with pytest.raises(GuiderError, match=re.escape(f"tensor {name} has shape {shape},")):
         load_model(path, g)
 
 
