@@ -2,8 +2,10 @@
 
 Subcommands: gen, train, infer, search, eval, parse, inspect-grammar,
 inspect-model. Exit codes: 0 success, 1 usage error, 2 runtime error.
-Diagnostics go to stderr, data to stdout. An optional --config file of
-key=value lines supplies defaults; explicit flags win.
+Diagnostics go to stderr, data to stdout. infer, search and parse print
+ERROR bad_input for a line with an unknown terminal and ERROR <reason> for
+a line that does not parse; any other failure exits 2. An optional --config
+file of key=value lines supplies defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -191,10 +193,11 @@ def _cmd_search(g, args) -> int:
     cfg = SearchConfig(max_depth=args.max_depth, time_limit_s=args.time_limit)
     for line in _stdin_lines():
         try:
-            res = iddfs_parse(g, g.encode(line), cfg)
-        except Exception:
+            tokens = g.encode(line)
+        except GrammarError:
             print("ERROR bad_input")
             continue
+        res = iddfs_parse(g, tokens, cfg)
         if res.status == "found":
             print(serialize(g, res.tree))
         else:
@@ -224,8 +227,13 @@ def _cmd_eval(g, args) -> int:
 def _cmd_parse(g, args) -> int:
     for line in _stdin_lines():
         try:
-            print(serialize(g, reference_parse(g, g.encode(line))))
-        except (ParseError, Exception) as exc:
+            tokens = g.encode(line)
+        except GrammarError:
+            print("ERROR bad_input")
+            continue
+        try:
+            print(serialize(g, reference_parse(g, tokens)))
+        except ParseError as exc:
             print(f"ERROR {exc}")
     return 0
 

@@ -34,7 +34,6 @@ __all__ = [
 
 _MAGIC = b"NGSI1"
 
-_GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 # Axes of every tensor: V and R come from the grammar, d_emb and d_h from
 # the model itself.
 _SHAPES = {
@@ -193,22 +192,15 @@ def _gru_step(U, b, xw, h):
 # Batched forward/backward
 
 
-def _pad(seqs):
-    B = len(seqs)
-    T = max(len(s) for s in seqs)
-    ids = np.zeros((B, T), dtype=np.int64)
-    active = np.zeros((B, T), dtype=bool)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-        active[i, : len(s)] = True
-    return ids, active
-
-
 def _forward(m: GuiderModel, seqs, want_cache: bool):
     """Run the encoder over a batch of token-id sequences.
 
-    Returns (final hidden states [B, d_h], cache for backprop or None).
-    Padded positions carry the previous hidden state through unchanged.
+    Returns (final hidden states [B, d_h] in the order of seqs, cache for
+    backprop or None). The batch runs sorted by length, longest first
+    (stable), so the rows still reading at step t are the first active[t]
+    and no step computes a row past the end of its sequence: the rows of
+    all steps add up to the number of tokens. A batch of one runs exactly
+    the operations encode runs.
     """
     emb = m.params["embedding"]
     V = emb.shape[0]
@@ -218,65 +210,80 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
         for tid in s:
             if not 0 <= tid < V:
                 raise GuiderError(f"unknown token id {tid}")
-    ids, active = _pad(seqs)
-    B, T = ids.shape
-    h = np.zeros((B, m.U.shape[0]), dtype=emb.dtype)
+    lengths = np.array([len(s) for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    ordered = [seqs[i] for i in order]
+    B, T = len(seqs), int(lengths[order[0]])
+    # active[t] = number of sequences longer than t, the rows of step t
+    active = B - np.cumsum(np.bincount(lengths, minlength=T + 1))[:T]
+    final = np.empty((B, m.U.shape[0]), dtype=emb.dtype)
+    h = np.zeros_like(final)
     steps = []
-    for t in range(T):
-        xt = emb[ids[:, t]]
-        h_new, z, r, cand = _gru_step(m.U, m.b, xt @ m.W, h)
-        at = active[:, t][:, None]
-        h_next = np.where(at, h_new, h)
+    for t, n in enumerate(active.tolist()):
+        ids = [s[t] for s in ordered[:n]]
+        h_prev = h[:n]
+        h, z, r, cand = _gru_step(m.U, m.b, emb[ids] @ m.W, h_prev)
+        # sequences of length t + 1 end here: rows [active[t + 1], n)
+        done = int(active[t + 1]) if t + 1 < T else 0
+        final[order[done:n]] = h[done:n]
         if want_cache:
-            steps.append((xt, h, z, r, cand))
-        h = h_next
-    cache = (ids, active, steps) if want_cache else None
-    return h, cache
+            steps.append((ids, h_prev, z, r, cand))
+    cache = (order, active, steps) if want_cache else None
+    return final, cache
 
 
-def _backward_encoder(params: dict, cache, dh):
-    """Backprop dh (gradient at final hidden state) through time."""
-    ids, active, steps = cache
-    B, T = ids.shape
-    grads = {
-        name: np.zeros_like(params[name])
-        for name in ("embedding",) + _GATE_NAMES
-    }
-    for t in range(T - 1, -1, -1):
-        xt, h_prev, z, r, cand = steps[t]
-        at = active[:, t][:, None]
-        dnew = np.where(at, dh, 0.0)
-        dcarry = np.where(at, 0.0, dh)
+def _backward_encoder(m: GuiderModel, cache, dh):
+    """Backprop dh (gradient at the final hidden states, rows in the
+    caller's order) through time, over the same shrinking row sets as
+    _forward.
 
-        dz = dnew * (cand - h_prev)
-        dcand = dnew * z
+    Each step writes the pre-activation gradients of its rows into one
+    block of D [sum of lengths, 3*d_h], columns (z | r | h) as in W, U
+    and b; the weight, bias and embedding gradients are then one product
+    each over all steps. The gate entries of the returned dict are column
+    views of the packed gradients, named as in GuiderModel.params.
+    """
+    order, active, steps = cache
+    d = m.U.shape[0]
+    offsets = np.concatenate(([0], np.cumsum(active))).tolist()
+    D = np.empty((offsets[-1], 3 * d), dtype=dh.dtype)
+    U_zr, U_h = m.U[:, : 2 * d], m.U[:, 2 * d :]
+    # gradient at the state each row holds after the step in progress; a
+    # row that ends at step t starts with its final-state gradient
+    grad = dh[order]
+    for t in range(len(steps) - 1, -1, -1):
+        _, h_prev, z, r, cand = steps[t]
+        lo, hi = offsets[t], offsets[t + 1]
+        dnew = grad[: hi - lo]
+        pre = D[lo:hi]
+        dz_pre, dr_pre, dcand_pre = pre[:, :d], pre[:, d : 2 * d], pre[:, 2 * d :]
+
+        np.multiply(dnew * z, 1.0 - cand * cand, out=dcand_pre)
+        drh = dcand_pre @ U_h.T
+        np.multiply(dnew * (cand - h_prev) * z, 1.0 - z, out=dz_pre)
+        np.multiply(drh * h_prev * r, 1.0 - r, out=dr_pre)
         dh_prev = dnew * (1.0 - z)
-
-        dcand_pre = dcand * (1.0 - cand * cand)
-        grads["W_h"] += xt.T @ dcand_pre
-        grads["U_h"] += (r * h_prev).T @ dcand_pre
-        grads["b_h"] += dcand_pre.sum(axis=0)
-        dx = dcand_pre @ params["W_h"].T
-        drh = dcand_pre @ params["U_h"].T
-        dr = drh * h_prev
         dh_prev += drh * r
+        dh_prev += pre[:, : 2 * d] @ U_zr.T
+        grad[: hi - lo] = dh_prev
 
-        dz_pre = dz * z * (1.0 - z)
-        grads["W_z"] += xt.T @ dz_pre
-        grads["U_z"] += h_prev.T @ dz_pre
-        grads["b_z"] += dz_pre.sum(axis=0)
-        dx += dz_pre @ params["W_z"].T
-        dh_prev += dz_pre @ params["U_z"].T
-
-        dr_pre = dr * r * (1.0 - r)
-        grads["W_r"] += xt.T @ dr_pre
-        grads["U_r"] += h_prev.T @ dr_pre
-        grads["b_r"] += dr_pre.sum(axis=0)
-        dx += dr_pre @ params["W_r"].T
-        dh_prev += dr_pre @ params["U_r"].T
-
-        np.add.at(grads["embedding"], ids[:, t], dx)
-        dh = dh_prev + dcarry
+    ids = [tid for step in steps for tid in step[0]]
+    X = m.params["embedding"][ids]
+    dW = X.T @ D
+    dU = np.empty_like(m.U)
+    H = np.concatenate([h_prev for _, h_prev, _, _, _ in steps])
+    RH = np.concatenate([r * h_prev for _, h_prev, _, r, _ in steps])
+    dU[:, : 2 * d] = H.T @ D[:, : 2 * d]
+    dU[:, 2 * d :] = RH.T @ D[:, 2 * d :]
+    db = D.sum(axis=0)
+    d_emb = np.zeros_like(m.params["embedding"])
+    np.add.at(d_emb, ids, D @ m.W.T)
+    grads = {"embedding": d_emb}
+    for k, gate in enumerate("zrh"):
+        cols = slice(k * d, (k + 1) * d)
+        grads[f"W_{gate}"] = dW[:, cols]
+        grads[f"U_{gate}"] = dU[:, cols]
+        grads[f"b_{gate}"] = db[cols]
     return grads
 
 
@@ -369,7 +376,7 @@ def loss_and_gradients(g: Grammar, batch, m: GuiderModel):
     dlogits = np.where(batch_mask, dlogits, 0.0).astype(logits.dtype)
 
     dh = dlogits @ params["W_out"].T
-    grads = _backward_encoder(params, cache, dh)
+    grads = _backward_encoder(m, cache, dh)
     grads["W_out"] = h.T @ dlogits
     grads["b_out"] = dlogits.sum(axis=0)
     return loss, grads
@@ -391,23 +398,36 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> None:
-    """In-place bias-corrected Adam update; one shared step counter."""
+    """In-place bias-corrected Adam update; one shared step counter.
+
+    The moments and parameters are updated in place with the operations,
+    and in the order, of p -= lr * m_hat / (sqrt(v_hat) + eps), so the
+    result is bit for bit that formula's.
+    """
     for name, gval in grads.items():
         if not np.all(np.isfinite(gval)):
             raise GuiderError(f"non-finite gradient for {name}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1 - b1**t, 1 - b2**t
     for name, p in params.items():
         gval = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * gval
-        state.v[name] = b2 * state.v[name] + (1 - b2) * gval * gval
-        m_hat = state.m[name] / (1 - b1**t)
-        v_hat = state.v[name] / (1 - b2**t)
-        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * gval
+        v *= b2
+        v += (1 - b2) * gval * gval
+        num = m / c1
+        num *= state.lr
+        den = v / c2
+        np.sqrt(den, out=den)
+        den += state.eps
+        num /= den
+        p -= num
 
 
 # ---------------------------------------------------------------------------

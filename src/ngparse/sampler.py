@@ -136,18 +136,26 @@ class _CountTable:
         return self.leq[nt_id][d][l] - self.leq[nt_id][d - 1][l]
 
 
+# Count tables, least recently used first, keyed by (rule fingerprint,
+# vocabulary fingerprint, depth cap, length cap): grammars with the same
+# rules and vocabulary share a table (the fingerprints are how model files
+# identify a grammar too), and the cache stays small however many grammars
+# are built.
 _TABLES = {}
+_MAX_TABLES = 8
 
 
 def _table(g: Grammar, max_depth: int, max_length: int) -> _CountTable:
     # Round caps up so nearby requests share one table.
     max_depth = max(max_depth, 8)
     max_length = max(max_length, 16)
-    key = (id(g), max_depth, max_length)
-    t = _TABLES.get(key)
+    key = (g.rule_fingerprint(), g.vocab_fingerprint(), max_depth, max_length)
+    t = _TABLES.pop(key, None)
     if t is None:
         t = _CountTable(g, max_depth, max_length)
-        _TABLES[key] = t
+        if len(_TABLES) >= _MAX_TABLES:
+            del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = t
     return t
 
 

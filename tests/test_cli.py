@@ -172,3 +172,24 @@ def test_train_tiny(tmp_path):
     lines = log.read_text().splitlines()
     assert lines[0] == "stage,iteration,loss,heldout_step_acc"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("args", [["search", "--max-depth", "12"], ["parse", "--oracle"]])
+def test_unknown_token_is_bad_input(args):
+    res = run_cli(args, stdin="v0 = frob ;\nv0 = 1 ;\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["ERROR bad_input", "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"]
+
+
+@pytest.mark.parametrize(
+    "args,target", [(["search"], "iddfs_parse"), (["parse", "--oracle"], "reference_parse")]
+)
+def test_fault_during_parse_exits_two(args, target, monkeypatch, capsys):
+    def broken(*a, **kw):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 ;\nv0 v0 ;\n"))
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: injected fault\n"

@@ -294,6 +294,104 @@ def _finite_diff_check(g, seed, dtype, eps, n_coords=40):
     return worst
 
 
+def _mixed_length_batch(g, per_length=2, seed=21):
+    """per_length pairs of each token count 1..15 in shuffled order, with
+    random tokens and random (applicable) labels."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.repeat(np.arange(1, 16), per_length))
+    batch = []
+    for n in lengths:
+        rule = g.rules[int(rng.integers(0, len(g.rules)))]
+        tokens = tuple(int(t) for t in rng.integers(0, len(g.vocabulary), size=n))
+        batch.append(TrainingPair(tokens, rule.lhs, rule.id))
+    return batch
+
+
+def _reference_gradients(g, m, batch):
+    """Float64 gradients of the mean masked cross-entropy, one example at a
+    time: the cell equations with one matrix per named gate, unrolled and
+    backpropagated step by step, with no batching or padding."""
+    p = {k: v.astype(np.float64) for k, v in m.params.items()}
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+
+    def sig(v):
+        return 1 / (1 + np.exp(-v))
+
+    for pair in batch:
+        h, steps = np.zeros(m.d_h), []
+        for tid in pair.tokens:
+            x = p["embedding"][tid]
+            z = sig(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+            r = sig(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+            c = np.tanh(x @ p["W_h"] + (r * h) @ p["U_h"] + p["b_h"])
+            steps.append((tid, x, h, z, r, c))
+            h = (1 - z) * h + z * c
+        applicable = [r.id for r in g.rules_for(pair.nt)]
+        logits = h @ p["W_out"] + p["b_out"]
+        e = np.exp(logits[applicable] - logits[applicable].max())
+        dlogits = np.zeros(len(g.rules))
+        dlogits[applicable] = e / e.sum()
+        dlogits[pair.rule_id] -= 1
+        dlogits /= len(batch)
+        grads["W_out"] += np.outer(h, dlogits)
+        grads["b_out"] += dlogits
+        dh = p["W_out"] @ dlogits
+        for tid, x, h, z, r, c in reversed(steps):
+            dc = dh * z * (1 - c * c)
+            dz = dh * (c - h) * z * (1 - z)
+            drh = p["U_h"] @ dc
+            dr = drh * h * r * (1 - r)
+            for gate, d, h_in in (("z", dz, h), ("r", dr, h), ("h", dc, r * h)):
+                grads[f"W_{gate}"] += np.outer(x, d)
+                grads[f"U_{gate}"] += np.outer(h_in, d)
+                grads[f"b_{gate}"] += d
+                grads["embedding"][tid] += p[f"W_{gate}"] @ d
+            dh = dh * (1 - z) + drh * r + p["U_z"] @ dz + p["U_r"] @ dr
+    return grads
+
+
+def _worst_relative(got, ref):
+    return max(np.abs(got[k] - ref[k]).max() / np.abs(ref[k]).max() for k in ref)
+
+
+@pytest.mark.parametrize("d_emb,d_h", [(8, 16), (64, 256)])
+def test_mixed_length_gradients_match_per_example_reference(g, d_emb, d_h):
+    m = init_model(g, d_emb=d_emb, d_h=d_h, seed=11)
+    rng = np.random.default_rng(11)
+    for name in ("b_z", "b_r", "b_h"):
+        m.params[name][...] = rng.uniform(-0.5, 0.5, size=d_h)
+    batch = _mixed_length_batch(g)
+    _, grads = loss_and_gradients(g, batch, m)
+    assert set(grads) == set(m.params)
+    assert _worst_relative(grads, _reference_gradients(g, m, batch)) <= 1e-5
+
+
+def test_permuting_a_batch_permutes_rows_and_keeps_gradients(g):
+    m = init_model(g, d_emb=64, d_h=256, seed=12)
+    batch = _mixed_length_batch(g)
+    perm = np.random.default_rng(12).permutation(len(batch))
+    shuffled = [batch[i] for i in perm]
+    h, _ = _forward(m, [p.tokens for p in batch], want_cache=False)
+    h_perm, _ = _forward(m, [p.tokens for p in shuffled], want_cache=False)
+    assert np.abs(h_perm - h[perm]).max() <= 1e-6
+    _, grads = loss_and_gradients(g, batch, m)
+    _, grads_perm = loss_and_gradients(g, shuffled, m)
+    assert _worst_relative(grads_perm, grads) <= 1e-6
+
+
+def test_forward_computes_one_row_per_token(g, tiny_model, monkeypatch):
+    rows = []
+    step = guider._gru_step
+    monkeypatch.setattr(
+        guider, "_gru_step", lambda U, b, xw, h: rows.append(len(h)) or step(U, b, xw, h)
+    )
+    seqs = [p.tokens for p in _mixed_length_batch(g)]
+    for want_cache in (False, True):
+        rows.clear()
+        _forward(tiny_model, seqs, want_cache=want_cache)
+        assert sum(rows) == sum(len(s) for s in seqs)
+
+
 def test_gradients_match_finite_differences_64bit(g):
     worst = max(_finite_diff_check(g, seed, np.float64, 1e-6) for seed in range(3))
     assert worst < 1e-6
@@ -357,6 +455,39 @@ def test_adam_monotone_on_quadratic():
         losses.append(0.5 * float(params["w"] @ params["w"]))
         adam_step(state, params, {"w": params["w"].copy()})
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+def _adam_reference(state, params, grads):
+    """adam_step's formula with one new array per operation."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for name, p in params.items():
+        gval = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        state.m[name] = b1 * state.m[name] + (1 - b1) * gval
+        state.v[name] = b2 * state.v[name] + (1 - b2) * gval * gval
+        m_hat = state.m[name] / (1 - b1**t)
+        v_hat = state.v[name] / (1 - b2**t)
+        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+
+
+def test_adam_in_place_is_bit_identical_to_the_formula(g):
+    m = init_model(g, d_emb=8, d_h=16, seed=14)
+    ref = _rebuilt(m)
+    state, ref_state = AdamState(lr=1e-2), AdamState(lr=1e-2)
+    pairs = _some_pairs(g, n=8, seed=14)
+    for _ in range(20):
+        _, grads = loss_and_gradients(g, pairs, m)
+        adam_step(state, m.params, grads)
+        _adam_reference(ref_state, ref.params, grads)
+    assert state.step == ref_state.step == 20
+    for name in m.params:
+        assert np.array_equal(m.params[name], ref.params[name])
+        assert np.array_equal(state.m[name], ref_state.m[name])
+        assert np.array_equal(state.v[name], ref_state.v[name])
 
 
 def test_adam_rejects_nonfinite_gradient():

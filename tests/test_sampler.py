@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ngparse import sampler
+from ngparse.grammar import build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import (
     SampleBucket,
@@ -150,3 +152,13 @@ def test_pairs_file_roundtrip(g, tmp_path):
     path = tmp_path / "pairs.tsv"
     write_pairs(g, pairs, path)
     assert read_pairs(g, path) == pairs
+
+
+def test_equal_grammars_share_one_count_table():
+    g1, g2 = build_grammar(), build_grammar()
+    assert sampler._table(g1, 9, 15) is sampler._table(g2, 9, 15)
+    bucket = SampleBucket(5, 15, 1, 9, seed=17)
+    assert sample_corpus(g1, bucket, 20) == sample_corpus(g2, bucket, 20)
+    for max_depth in range(8, 8 + 2 * sampler._MAX_TABLES):
+        sampler._table(g1, max_depth, 16)
+    assert len(sampler._TABLES) == sampler._MAX_TABLES
