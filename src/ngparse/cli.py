@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluate, guider, sampler
-from .engine import InferConfig, InferenceError, infer, model_selector
+from .engine import MODES, InferConfig, InferenceError, infer, model_selector
 from .grammar import GrammarError, Nonterminal, build_grammar
 from .parser import ParseError, reference_parse
 from .search import SearchConfig, iddfs_parse
@@ -35,18 +35,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_bucket(text: str, seed: int) -> sampler.SampleBucket:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise _UsageError("--bucket expects min_len:max_len:min_depth:max_depth")
-    a, b, c, d = (int(p) for p in parts)
+    try:
+        a, b, c, d = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise _UsageError(
+            f"--bucket expects min_len:max_len:min_depth:max_depth integers, got {text!r}"
+        ) from None
     return sampler.SampleBucket(a, b, c, d, seed=seed)
 
 
-def _parse_range(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+def _parse_range(text: str, flag: str) -> list:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise _UsageError(
+            f"{flag} expects lo..hi or a comma list of integers, got {text!r}"
+        ) from None
 
 
 def _apply_config_file(argv: list) -> list:
@@ -59,16 +66,19 @@ def _apply_config_file(argv: list) -> list:
         raise _UsageError("--config requires a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read --config file: {exc}") from None
     injected = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise _UsageError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            injected += [f"--{key.strip()}", value.strip()]
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"bad config line: {line!r}")
+        key, value = line.split("=", 1)
+        injected += [f"--{key.strip()}", value.strip()]
     # subcommand stays first; injected defaults go right after it
     if not rest:
         return injected
@@ -102,7 +112,7 @@ def _build_argparser() -> _Parser:
 
     inf = sub.add_parser("infer", help="guided inference, token strings on stdin")
     inf.add_argument("--model", required=True)
-    inf.add_argument("--mode", choices=["greedy", "fallback", "beam"], default="fallback")
+    inf.add_argument("--mode", choices=MODES, default="fallback")
     inf.add_argument("--beam-width", type=int, default=4)
 
     se = sub.add_parser("search", help="IDDFS baseline, token strings on stdin")
@@ -211,8 +221,8 @@ def _cmd_eval(g, args) -> int:
     records = evaluate.evaluate_grid(
         g,
         methods,
-        _parse_range(args.depths),
-        _parse_range(args.lengths),
+        _parse_range(args.depths, "--depths"),
+        _parse_range(args.lengths, "--lengths"),
         per_cell=args.per_cell,
         seed=args.seed,
         model=model,

@@ -1,13 +1,13 @@
 """Recursive guided inference: pick a rule per layer, split the tokens,
-recurse. Three variants: greedy (trust the top rule), fallback (retry
-rules in descending probability on any failure), and beam (keep the
-best-scoring partial derivations).
+recurse. One expansion step proposes the ranked rules that decompose a
+span. A depth-first search over them is fallback (retry the next rule
+when a child does not parse) or, over the top-ranked rule only, greedy;
+beam keeps the best-scoring partial derivations of each level.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
@@ -22,8 +22,8 @@ __all__ = [
     "Unparseable",
     "DepthLimitExceeded",
     "InconsistentParse",
+    "MODES",
     "infer",
-    "infer_file",
     "model_selector",
     "oracle_selector",
 ]
@@ -45,15 +45,18 @@ class InconsistentParse(InferenceError):
     kind = "inconsistent_parse"
 
 
+MODES = ("greedy", "fallback", "beam")
+
+
 @dataclass(frozen=True)
 class InferConfig:
-    mode: str = "fallback"  # greedy | fallback | beam
+    mode: str = "fallback"  # one of MODES
     beam_width: int = 4
     max_recursion_depth: int = 64
     verify_reconstruction: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("greedy", "fallback", "beam"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.beam_width < 1 or self.max_recursion_depth < 1:
             raise ValueError("beam_width and max_recursion_depth must be >= 1")
@@ -105,6 +108,11 @@ def infer(
     what its calls on this input share (model_selector: the encoder's
     prefix trie, see guider.encode); it is dropped when the call returns.
     Within a call the selector is asked about each (span, nt) once.
+
+    Every mode uses one expansion step: the ranked rules that are not -inf
+    and that decompose the span, best first, with their child goals.
+    fallback and greedy (top-ranked rule only) search them depth first;
+    beam keeps the best-scoring partial derivations of each level.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -113,76 +121,58 @@ def infer(
         nt = g.start
 
     states, memo = {}, {}
+    alternatives = 1 if cfg.mode == "greedy" else None
 
-    def select(toks, goal):
+    def expand(toks, goal):
+        """Yield (rule, logprob, ((span, nt), ...)) best first."""
         key = (toks, goal.id)
         ranked = memo.get(key)
         if ranked is None:
-            ranked = memo[key] = selector(toks, goal, states)
-        return ranked
+            ranked = memo[key] = selector(toks, goal, states)[:alternatives]
+        for rule_id, logprob in ranked:
+            if logprob == -math.inf:
+                continue
+            rule = g.rule_by_id(rule_id)
+            try:
+                components = decompose(g, toks, rule)
+            except DecompositionFailure:
+                continue
+            yield rule, logprob, tuple(zip(components, rule.rhs_nonterminals()))
 
-    if cfg.mode == "greedy":
-        result = _infer_greedy(g, tokens, nt, select, cfg, 1)
-    elif cfg.mode == "fallback":
-        result = _infer_fallback(g, tokens, nt, select, cfg, 1)
+    if cfg.mode == "beam":
+        result = _infer_beam(g, expand, tokens, nt, cfg)
     else:
-        result = _infer_beam(g, tokens, nt, select, cfg)
+        result = _infer_dfs(expand, tokens, nt, cfg.max_recursion_depth, 1)
 
     if cfg.verify_reconstruction and pretty_print(g, result) != tokens:
         raise InconsistentParse("reconstructed yield differs from input")
     return result
 
 
-def _infer_greedy(g, tokens, nt, selector, cfg, level):
-    if level > cfg.max_recursion_depth:
-        raise DepthLimitExceeded(f"recursion deeper than {cfg.max_recursion_depth}")
-    ranked = selector(tokens, nt)
-    if not ranked:
-        raise Unparseable(f"no rule proposed for {nt.name}")
-    rule = g.rule_by_id(ranked[0][0])
-    try:
-        components = decompose(g, tokens, rule)
-    except DecompositionFailure as exc:
-        raise Unparseable(str(exc)) from exc
-    children = tuple(
-        _infer_greedy(g, comp, knt, selector, cfg, level + 1)
-        for comp, knt in zip(components, rule.rhs_nonterminals())
-    )
-    return Ast(rule.id, children)
-
-
-def _infer_fallback(g, tokens, nt, selector, cfg, level):
-    if level > cfg.max_recursion_depth:
-        raise DepthLimitExceeded(f"recursion deeper than {cfg.max_recursion_depth}")
-    for rule_id, logprob in selector(tokens, nt):
-        if logprob == -math.inf:
-            continue
-        rule = g.rule_by_id(rule_id)
-        try:
-            components = decompose(g, tokens, rule)
-        except DecompositionFailure:
-            continue
+def _infer_dfs(expand, tokens, nt, max_depth, level):
+    """The first proposal whose children all parse. Only Unparseable moves
+    on to the next one: DepthLimitExceeded ends the whole call."""
+    if level > max_depth:
+        raise DepthLimitExceeded(f"recursion deeper than {max_depth}")
+    for rule, _, goals in expand(tokens, nt):
         children = []
         try:
-            for comp, knt in zip(components, rule.rhs_nonterminals()):
-                children.append(
-                    _infer_fallback(g, comp, knt, selector, cfg, level + 1)
-                )
+            for comp, knt in goals:
+                children.append(_infer_dfs(expand, comp, knt, max_depth, level + 1))
         except Unparseable:
             continue
-        return Ast(rule_id, tuple(children))
+        return Ast(rule.id, tuple(children))
     raise Unparseable(f"all rules exhausted for {nt.name}")
 
 
-def _infer_beam(g, tokens, nt, selector, cfg):
+def _infer_beam(g, expand, tokens, nt, cfg):
     """Level-synchronous beam over leftmost-first expansions.
 
     A state is (score, preorder rule ids, stack of pending (tokens, nt)
     goals); completed states have an empty stack. Returns the
     best-scoring completed derivation.
     """
-    start = (0.0, (), ((tuple(tokens), nt),))
-    beam = [start]
+    beam = [(0.0, (), ((tokens, nt),))]
     completed = []
     steps = 0
     limit = cfg.max_recursion_depth * max(64, len(tokens)) * cfg.beam_width
@@ -192,32 +182,17 @@ def _infer_beam(g, tokens, nt, selector, cfg):
             raise DepthLimitExceeded("beam expansion budget exhausted")
         nxt = []
         for score, chosen, stack in beam:
-            toks, goal_nt = stack[-1]
             rest = stack[:-1]
-            for rule_id, logprob in selector(toks, goal_nt):
-                if logprob == -math.inf:
-                    continue
-                rule = g.rule_by_id(rule_id)
-                try:
-                    components = decompose(g, toks, rule)
-                except DecompositionFailure:
-                    continue
-                new_goals = tuple(
-                    zip(components, rule.rhs_nonterminals())
-                )
-                new_stack = rest + tuple(reversed(new_goals))
-                state = (score + logprob, chosen + (rule_id,), new_stack)
-                if new_stack:
-                    nxt.append(state)
-                else:
-                    completed.append(state)
+            for rule, logprob, goals in expand(*stack[-1]):
+                new_stack = rest + goals[::-1]
+                state = (score + logprob, chosen + (rule.id,), new_stack)
+                (nxt if new_stack else completed).append(state)
         nxt.sort(key=lambda s: -s[0])
         beam = nxt[: cfg.beam_width]
     if not completed:
         raise Unparseable("beam exhausted without a complete derivation")
     best = max(completed, key=lambda s: s[0])
-    tree, used = _tree_from_preorder(g, best[1], 0, nt)
-    return tree
+    return _tree_from_preorder(g, best[1], 0, nt)[0]
 
 
 def _tree_from_preorder(g, rule_ids, idx, nt):
@@ -228,30 +203,3 @@ def _tree_from_preorder(g, rule_ids, idx, nt):
         child, idx = _tree_from_preorder(g, rule_ids, idx, knt)
         children.append(child)
     return Ast(rule.id, tuple(children)), idx
-
-
-def infer_file(g: Grammar, corpus_path, selector, cfg: InferConfig = InferConfig()):
-    """Run inference over a corpus file (token string TAB tree text per
-    line); yields one result row per program with the wall time of the
-    infer call alone. Bad lines become error rows, processing continues."""
-    rows = []
-    with open(corpus_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            text = line.split("\t")[0]
-            try:
-                tokens = g.encode(text)
-            except Exception as exc:
-                rows.append((lineno, None, f"bad_input: {exc}", 0.0))
-                continue
-            t0 = time.perf_counter()
-            try:
-                tree = infer(g, tokens, selector, cfg)
-                err = None
-            except InferenceError as exc:
-                tree = None
-                err = exc.kind
-            rows.append((lineno, tree, err, time.perf_counter() - t0))
-    return rows

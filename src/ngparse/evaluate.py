@@ -10,7 +10,7 @@ tree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .tree import ast_equal
 
 __all__ = ["EvalRecord", "evaluate_grid", "write_csv", "read_csv"]
 
-KNOWN_METHODS = ("ngsi", "greedy", "beam", "search", "oracle")
+# Guided methods and the engine mode each runs; search and oracle need no model.
+_GUIDED_MODES = {"ngsi": "fallback", "greedy": "greedy", "beam": "beam"}
+KNOWN_METHODS = (*_GUIDED_MODES, "search", "oracle")
 
 
 @dataclass
@@ -52,14 +54,7 @@ def _make_runner(g, method, model, infer_cfg, search_cfg):
         cfg = infer_cfg or InferConfig()
     else:
         selector = model_selector(g, model)
-        mode = {"ngsi": "fallback", "greedy": "greedy", "beam": "beam"}[method]
-        base = infer_cfg or InferConfig()
-        cfg = InferConfig(
-            mode=mode,
-            beam_width=base.beam_width,
-            max_recursion_depth=base.max_recursion_depth,
-            verify_reconstruction=base.verify_reconstruction,
-        )
+        cfg = replace(infer_cfg or InferConfig(), mode=_GUIDED_MODES[method])
 
     def run(tokens):
         try:
@@ -91,7 +86,7 @@ def evaluate_grid(
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
-    needs_model = [m for m in methods if m in ("ngsi", "greedy", "beam")]
+    needs_model = [m for m in methods if m in _GUIDED_MODES]
     if needs_model and model is None:
         raise ValueError(f"methods {needs_model} require a model")
 

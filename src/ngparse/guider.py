@@ -8,6 +8,8 @@ suite, so no autograd framework is involved on either side.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -109,29 +111,18 @@ def init_model(
     seed: int = 0,
     dtype=np.float32,
 ) -> GuiderModel:
-    """Uniform [-1/sqrt(d_h), 1/sqrt(d_h)] matrices, zero biases."""
+    """Uniform [-1/sqrt(d_h), 1/sqrt(d_h)] matrices, zero biases, drawn in
+    _SHAPES order."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d_h)
-    V = len(g.vocabulary)
-    R = len(g.rules)
-
-    def mat(*shape):
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    params = {
-        "embedding": mat(V, d_emb),
-        "W_z": mat(d_emb, d_h),
-        "U_z": mat(d_h, d_h),
-        "b_z": np.zeros(d_h, dtype=dtype),
-        "W_r": mat(d_emb, d_h),
-        "U_r": mat(d_h, d_h),
-        "b_r": np.zeros(d_h, dtype=dtype),
-        "W_h": mat(d_emb, d_h),
-        "U_h": mat(d_h, d_h),
-        "b_h": np.zeros(d_h, dtype=dtype),
-        "W_out": mat(d_h, R),
-        "b_out": np.zeros(R, dtype=dtype),
-    }
+    dims = {"V": len(g.vocabulary), "R": len(g.rules), "d_emb": d_emb, "d_h": d_h}
+    params = {}
+    for name, axes in _SHAPES.items():
+        shape = tuple(dims[a] for a in axes)
+        if name.startswith("b_"):
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return GuiderModel(
         params, d_emb, d_h, g.vocab_fingerprint(), g.rule_fingerprint()
     )
@@ -576,32 +567,38 @@ def _check_shapes(params: dict, V: int, R: int) -> None:
 
 
 def load_model(path, g: Grammar) -> GuiderModel:
-    def take(fh, n, what):
-        data = fh.read(n)
-        if len(data) != n:
-            raise GuiderError(f"truncated model file (reading {what})")
-        return data
-
+    """Read a save_model file. Any malformed file raises GuiderError: no
+    read asks for more bytes than the file has left, and every tensor must
+    have rank at most 2, finite values and its _SHAPES shape."""
     params = {}
     with open(path, "rb") as fh:
-        if take(fh, len(_MAGIC), "magic") != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n, what):
+            data = fh.read(n) if n <= size - fh.tell() else b""
+            if len(data) != n:
+                raise GuiderError(f"truncated model file (reading {what})")
+            return data
+
+        if take(len(_MAGIC), "magic") != _MAGIC:
             raise GuiderError("bad model file magic")
-        rule_fp, vocab_fp = struct.unpack("<QQ", take(fh, 16, "fingerprints"))
+        rule_fp, vocab_fp = struct.unpack("<QQ", take(16, "fingerprints"))
         if rule_fp != g.rule_fingerprint() or vocab_fp != g.vocab_fingerprint():
             raise GuiderError("model/grammar mismatch")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise GuiderError("truncated model file (reading name length)")
-            (nlen,) = struct.unpack("<I", head)
-            name = take(fh, nlen, "name").decode()
-            (rank,) = struct.unpack("<I", take(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", take(fh, 4 * rank, "dims"))
-            count = int(np.prod(dims)) if rank else 1
-            data = take(fh, 4 * count, f"tensor {name}")
+        while fh.tell() < size:
+            (nlen,) = struct.unpack("<I", take(4, "name length"))
+            try:
+                name = take(nlen, "name").decode()
+            except UnicodeDecodeError:
+                raise GuiderError("tensor name is not UTF-8") from None
+            (rank,) = struct.unpack("<I", take(4, "rank"))
+            if rank > 2:
+                raise GuiderError(f"tensor {name} has rank {rank}, expected at most 2")
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+            data = take(4 * math.prod(dims), f"tensor {name}")
             params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(params[name]).all():
+                raise GuiderError(f"tensor {name} has non-finite values")
 
     missing = set(_SHAPES) - set(params)
     if missing:

@@ -193,3 +193,36 @@ def test_fault_during_parse_exits_two(args, target, monkeypatch, capsys):
     assert cli.main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: injected fault\n"
+
+
+def test_infer_non_finite_model_exits_two(tiny_model, tmp_path):
+    path = tmp_path / "nan.bin"
+    w_out = tiny_model.params["W_out"].copy()
+    w_out[0, 0] = np.nan
+    save_with_tensors(path, tiny_model, W_out=w_out)
+    res = run_cli(["infer", "--model", str(path)], stdin="v0 = 1 ;\n")
+    assert res.returncode == 2
+    assert res.stderr == "error: tensor W_out has non-finite values\n"
+    assert res.stdout == ""
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path):
+    res = run_cli(["gen", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "x")])
+    assert res.returncode == 1
+    assert res.stderr.startswith("usage error: cannot read --config file")
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["gen", "--bucket", "5:15:x:9", "--n", "1"], "--bucket"),
+        (["eval", "--methods", "oracle", "--depths", "7.."], "--depths"),
+        (["eval", "--methods", "oracle", "--lengths", "8,ten"], "--lengths"),
+    ],
+)
+def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
+    out = tmp_path / "out"
+    res = run_cli([*args, "--out", str(out)])
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"usage error: {flag} expects")
+    assert not out.exists()

@@ -11,12 +11,11 @@ from ngparse.engine import (
     InferenceError,
     Unparseable,
     infer,
-    infer_file,
     model_selector,
     oracle_selector,
 )
 from ngparse.guider import predict_rule_distribution
-from ngparse.sampler import SampleBucket, sample_corpus, write_corpus
+from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.tree import ast_equal, pretty_print, serialize
 
 
@@ -61,6 +60,18 @@ def test_depth_limit(g):
     with pytest.raises(DepthLimitExceeded):
         infer(g, g.encode(text), oracle_selector(g),
               InferConfig(mode="fallback", max_recursion_depth=4))
+
+
+@pytest.mark.parametrize("mode", ["greedy", "fallback"])
+def test_depth_limit_on_a_span_repeated_across_levels(g, mode):
+    # The second v0 sits at level 6 and shares its (span, nt) with the
+    # first at level 3; serving it from the selector memo must not let it
+    # past the limit.
+    tokens, selector = g.encode("v0 = v0 ;"), oracle_selector(g)
+    with pytest.raises(DepthLimitExceeded):
+        infer(g, tokens, selector, InferConfig(mode=mode, max_recursion_depth=5))
+    tree = infer(g, tokens, selector, InferConfig(mode=mode, max_recursion_depth=6))
+    assert serialize(g, tree) == "(S2 (A1 (V1) (E3 (T2 (F2 (V1))))))"
 
 
 def test_trained_model_parses_in_distribution(g, small_trained):
@@ -110,26 +121,6 @@ def test_verification_catches_nothing_on_sound_paths(g):
     cfg = InferConfig(mode="fallback", verify_reconstruction=False)
     for tokens, _ in sample_corpus(g, SampleBucket(4, 20, 1, 10, seed=24), 50):
         assert pretty_print(g, infer(g, tokens, selector, cfg)) == tokens
-
-
-def test_infer_file(g, small_trained, tmp_path):
-    corpus = sample_corpus(g, SampleBucket(5, 15, 1, 9, seed=25), 20)
-    path = tmp_path / "corpus.tsv"
-    write_corpus(g, corpus, path)
-    with open(path, "a") as fh:
-        fh.write("v0 v0 v0 ;\t(V1)\n")  # unparseable line, must not abort the run
-    rows = infer_file(g, path, model_selector(g, small_trained))
-    assert len(rows) == 21
-    good = [r for r in rows[:-1]]
-    assert all(r[1] is not None and r[2] is None for r in good)
-    assert all(r[3] < 1.0 for r in rows)
-    assert rows[-1][1] is None and rows[-1][2] == "unparseable"
-
-
-def test_infer_file_empty(g, small_trained, tmp_path):
-    path = tmp_path / "empty.tsv"
-    path.write_text("")
-    assert infer_file(g, path, model_selector(g, small_trained)) == []
 
 
 def test_fallback_encodes_each_span_prefix_once_per_call(g, small_trained, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -577,3 +578,56 @@ def test_load_rejects_truncation(g, tiny_model, tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(GuiderError, match="truncated"):
         load_model(path, g)
+
+
+def _model_file(m, *records):
+    """A model file with m's header and the given raw tensor records."""
+    return guider._MAGIC + struct.pack("<QQ", m.rule_fingerprint, m.vocab_fingerprint) + b"".join(records)
+
+
+@pytest.mark.parametrize(
+    "record,match",
+    [
+        # rank 2**30 in a 30-byte file: no 4 GB buffer is asked for
+        (b"\x01\x00\x00\x00W\x00\x00\x00\x40", "rank"),
+        # 2**31 x 2**31 floats: counted in Python ints, not np.prod
+        (b"\x01\x00\x00\x00W\x02\x00\x00\x00" + b"\x00\x00\x00\x80" * 2, "truncated"),
+        (b"\x02\x00\x00\x00\xff\xfe\x00\x00\x00\x00", "UTF-8"),
+        (b"\xff\xff\xff\x7f", "truncated"),
+    ],
+    ids=["huge-rank", "huge-dims", "bad-name", "huge-name"],
+)
+def test_load_rejects_hostile_records(g, tiny_model, tmp_path, record, match):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_model_file(tiny_model, record))
+    with pytest.raises(GuiderError, match=match):
+        load_model(path, g)
+
+
+def test_load_rejects_non_finite_tensor(g, tiny_model, tmp_path):
+    path = tmp_path / "m.bin"
+    w_out = tiny_model.params["W_out"].copy()
+    w_out[0, 0] = np.nan
+    save_with_tensors(path, tiny_model, W_out=w_out)
+    with pytest.raises(GuiderError, match="tensor W_out has non-finite values"):
+        load_model(path, g)
+
+
+def test_load_fuzzed_files_give_a_model_or_a_guider_error(g, tiny_model, tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(tiny_model, path)
+    data = path.read_bytes()
+    rng = np.random.default_rng(6)
+    cases = [data[:n] for n in rng.integers(0, len(data), size=150)]
+    for pos, bit in zip(rng.integers(0, len(data), size=600), rng.integers(0, 8, size=600)):
+        flipped = bytearray(data)
+        flipped[pos] ^= 1 << bit
+        cases.append(bytes(flipped))
+    outcomes = set()
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            outcomes.add(type(load_model(path, g)))
+        except GuiderError:
+            outcomes.add(GuiderError)
+    assert outcomes == {GuiderModel, GuiderError}
