@@ -173,46 +173,46 @@ def _cmd_train(g, args) -> int:
     return 0
 
 
-def _stdin_lines():
+def _serve(g, answer) -> int:
+    """One stdout line per nonblank stdin line: ERROR bad_input for a line
+    with an unknown terminal, otherwise answer(tokens). Anything answer
+    raises is a fault of the model or the program, not of the line: it
+    propagates and main exits 2."""
     for line in sys.stdin:
         line = line.strip()
-        if line:
-            yield line
+        if not line:
+            continue
+        try:
+            tokens = g.encode(line)
+        except GrammarError:
+            print("ERROR bad_input")
+            continue
+        print(answer(tokens))
+    return 0
 
 
 def _cmd_infer(g, args) -> int:
     model = guider.load_model(args.model, g)
     selector = model_selector(g, model)
     cfg = InferConfig(mode=args.mode, beam_width=args.beam_width)
-    for line in _stdin_lines():
+
+    def answer(tokens):
         try:
-            tokens = g.encode(line)
-        except GrammarError:
-            print("ERROR bad_input")
-            continue
-        # Anything else is a fault of the model or the program, not of
-        # this line: it propagates and main exits 2.
-        try:
-            print(serialize(g, infer(g, tokens, selector, cfg)))
+            return serialize(g, infer(g, tokens, selector, cfg))
         except InferenceError as exc:
-            print(f"ERROR {exc.kind}")
-    return 0
+            return f"ERROR {exc.kind}"
+
+    return _serve(g, answer)
 
 
 def _cmd_search(g, args) -> int:
     cfg = SearchConfig(max_depth=args.max_depth, time_limit_s=args.time_limit)
-    for line in _stdin_lines():
-        try:
-            tokens = g.encode(line)
-        except GrammarError:
-            print("ERROR bad_input")
-            continue
+
+    def answer(tokens):
         res = iddfs_parse(g, tokens, cfg)
-        if res.status == "found":
-            print(serialize(g, res.tree))
-        else:
-            print(f"ERROR {res.status}")
-    return 0
+        return serialize(g, res.tree) if res.status == "found" else f"ERROR {res.status}"
+
+    return _serve(g, answer)
 
 
 def _cmd_eval(g, args) -> int:
@@ -235,17 +235,13 @@ def _cmd_eval(g, args) -> int:
 
 
 def _cmd_parse(g, args) -> int:
-    for line in _stdin_lines():
+    def answer(tokens):
         try:
-            tokens = g.encode(line)
-        except GrammarError:
-            print("ERROR bad_input")
-            continue
-        try:
-            print(serialize(g, reference_parse(g, tokens)))
+            return serialize(g, reference_parse(g, tokens))
         except ParseError as exc:
-            print(f"ERROR {exc}")
-    return 0
+            return f"ERROR {exc}"
+
+    return _serve(g, answer)
 
 
 def _cmd_inspect_grammar(g, args) -> int:

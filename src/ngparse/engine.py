@@ -53,7 +53,6 @@ class InferConfig:
     mode: str = "fallback"  # one of MODES
     beam_width: int = 4
     max_recursion_depth: int = 64
-    verify_reconstruction: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -144,7 +143,7 @@ def infer(
     else:
         result = _infer_dfs(expand, tokens, nt, cfg.max_recursion_depth, 1)
 
-    if cfg.verify_reconstruction and pretty_print(g, result) != tokens:
+    if pretty_print(g, result) != tokens:
         raise InconsistentParse("reconstructed yield differs from input")
     return result
 
@@ -168,23 +167,25 @@ def _infer_dfs(expand, tokens, nt, max_depth, level):
 def _infer_beam(g, expand, tokens, nt, cfg):
     """Level-synchronous beam over leftmost-first expansions.
 
-    A state is (score, preorder rule ids, stack of pending (tokens, nt)
-    goals); completed states have an empty stack. Returns the
-    best-scoring completed derivation.
+    A state is (score, preorder rule ids, stack of pending (tokens, nt,
+    level) goals); completed states have an empty stack. Popping a goal
+    deeper than max_recursion_depth raises DepthLimitExceeded, as in the
+    depth-first search. Each level adds one node to every state, and a
+    derivation has at most one leaf per token and no path longer than the
+    limit, so the loop ends. Returns the best-scoring completed derivation.
     """
-    beam = [(0.0, (), ((tokens, nt),))]
+    max_depth = cfg.max_recursion_depth
+    beam = [(0.0, (), ((tokens, nt, 1),))]
     completed = []
-    steps = 0
-    limit = cfg.max_recursion_depth * max(64, len(tokens)) * cfg.beam_width
     while beam:
-        steps += 1
-        if steps > limit:
-            raise DepthLimitExceeded("beam expansion budget exhausted")
         nxt = []
         for score, chosen, stack in beam:
+            toks, goal, level = stack[-1]
+            if level > max_depth:
+                raise DepthLimitExceeded(f"recursion deeper than {max_depth}")
             rest = stack[:-1]
-            for rule, logprob, goals in expand(*stack[-1]):
-                new_stack = rest + goals[::-1]
+            for rule, logprob, goals in expand(toks, goal):
+                new_stack = rest + tuple([(c, k, level + 1) for c, k in goals[::-1]])
                 state = (score + logprob, chosen + (rule.id,), new_stack)
                 (nxt if new_stack else completed).append(state)
         nxt.sort(key=lambda s: -s[0])

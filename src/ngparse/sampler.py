@@ -1,12 +1,14 @@
 """Random program generation under depth/length constraints.
 
-Counting-based exact sampler: a dynamic program tabulates, per
-nonterminal, how many derivation trees exist at each (depth, yield
-length); top-down sampling proportional to those counts then draws a tree
-uniformly among all derivations with the requested exact depth and
-length. Buckets are sampled by first drawing a feasible (depth, length)
-pair uniformly, so unsatisfiable buckets are detected exactly rather than
-by rejection timeouts.
+Counting-based exact sampler (the recursive method of Nijenhuis & Wilf,
+and of Flajolet, Zimmermann & Van Cutsem): a dynamic program tabulates,
+per nonterminal, how many derivation trees exist at each (depth, yield
+length). One top-down routine then draws a tree uniformly among those of
+depth at most d or exactly d and length exactly l, choosing each rule,
+depth plan and child length in proportion to the trees it leaves. Buckets
+are sampled by first drawing a feasible (depth, length) pair uniformly, so
+unsatisfiable buckets are detected exactly rather than by rejection
+timeouts.
 
 Also houses training-pair extraction (one pair per AST node) and the
 curriculum schedule.
@@ -87,53 +89,93 @@ def _conv(a, b, cap):
     return out
 
 
+def _plans(rule, d: int, exact: bool) -> list:
+    """The ways rule's children make a tree of depth at most d, or exactly
+    d, each a plan: one (depth bound, exact?) per rhs nonterminal. A tree
+    of depth exactly d is split by its first child of depth exactly d-1:
+    the children before it stay within d-2, those after it within d-1. A
+    rule without nonterminals makes a tree of depth exactly 1."""
+    k = len(rule.rhs_nonterminals())
+    if exact and not k and d > 1:
+        return []
+    if not exact or not k:
+        return [((d - 1, False),) * k]
+    return [
+        ((d - 2, False),) * i + ((d - 1, True),) + ((d - 1, False),) * (k - i - 1)
+        for i in range(k)
+    ]
+
+
 class _CountTable:
     """Tree counts by (depth bound, exact yield length), per nonterminal.
 
-    leq[nt][d][l]    : trees rooted at nt with depth <= d and yield length l.
-    suffix[r][d][j]  : convolution of leq arrays (at depth bound d) for the
-                       rule's nonterminal children j..k-1; suffix[r][d][k]
-                       is the delta at the rule's terminal count.
-    Counts are exact Python integers (they overflow floats quickly).
+    leq[nt][d][l] : trees rooted at nt with depth <= d and yield length l.
+    rules[nt]     : nt's rules, in rule-id order.
+    rule_counts and suffixes are memoised on first use; suffixes makes
+    every convolution. Count arrays are indexed by yield length up to
+    max_length and hold exact Python integers (they overflow floats
+    quickly).
     """
 
     def __init__(self, g: Grammar, max_depth: int, max_length: int):
-        self.g = g
         self.max_depth = max_depth
         self.max_length = max_length
-        cap = max_length
-        zeros = [0] * (cap + 1)
-
-        self.leq = {nt.id: [list(zeros)] for nt in g.nonterminals}
-        self.suffix = {r.id: [None] * (max_depth + 1) for r in g.rules}
-        self.by_rule = {r.id: [list(zeros)] for r in g.rules}
-
+        self.rules = {nt.id: g.rules_for(nt) for nt in g.nonterminals}
+        self._zeros = [0] * (max_length + 1)
+        self._rule_counts = {}
+        self._suffixes = {}
+        self.leq = {nt.id: [self._zeros] for nt in g.nonterminals}
         for d in range(1, max_depth + 1):
-            for r in g.rules:
-                kids = r.rhs_nonterminals()
-                tcount = r.rhs_terminal_count()
-                base = list(zeros)
-                if tcount <= cap:
-                    base[tcount] = 1
-                suffixes = [base]  # suffix over kids j..end, built right-to-left
-                for kid in reversed(kids):
-                    suffixes.append(_conv(self.leq[kid.id][d - 1], suffixes[-1], cap))
-                suffixes.reverse()
-                self.suffix[r.id][d - 1] = suffixes
-                self.by_rule[r.id].append(suffixes[0])
             for nt in g.nonterminals:
-                total = list(zeros)
-                for r in g.rules:
-                    if r.lhs.id == nt.id:
-                        arr = self.by_rule[r.id][d]
-                        for l, c in enumerate(arr):
-                            total[l] += c
-                self.leq[nt.id].append(total)
+                self.leq[nt.id].append(self._total(self.rule_counts(nt.id, d, False)))
 
     def exact(self, nt_id: int, d: int, l: int) -> int:
         if d < 1 or d > self.max_depth or l > self.max_length:
             return 0
         return self.leq[nt_id][d][l] - self.leq[nt_id][d - 1][l]
+
+    def _total(self, arrays) -> list:
+        """Elementwise sum; all zeros when there are no arrays."""
+        return [sum(c) for c in zip(self._zeros, *arrays)]
+
+    def rule_counts(self, nt_id: int, d: int, exact: bool) -> list:
+        """Per rule of nt, its trees by length at depth <= d (or exactly d):
+        the sum over the rule's plans."""
+        key = (nt_id, d, exact)
+        out = self._rule_counts.get(key)
+        if out is None:
+            out = self._rule_counts[key] = [
+                self._total(self.suffixes(r, p)[1][0] for p in _plans(r, d, exact))
+                for r in self.rules[nt_id]
+            ]
+        return out
+
+    def suffixes(self, rule, plan) -> tuple:
+        """(arrays, suffixes) of a rule under a plan: arrays[j] counts child
+        j's trees by length within plan[j]; suffixes[j] convolves arrays
+        j..k-1 with suffixes[k], the delta at the rule's terminal count."""
+        key = (rule.id, plan)
+        out = self._suffixes.get(key)
+        if out is None:
+            arrays = [
+                self._counts(kid.id, d, exact)
+                for kid, (d, exact) in zip(rule.rhs_nonterminals(), plan)
+            ]
+            cap, tcount = self.max_length, rule.rhs_terminal_count()
+            base = list(self._zeros)
+            if tcount <= cap:
+                base[tcount] = 1
+            suffixes = [base]
+            for arr in reversed(arrays):
+                suffixes.append(_conv(arr, suffixes[-1], cap))
+            out = self._suffixes[key] = (arrays, suffixes[::-1])
+        return out
+
+    def _counts(self, nt_id: int, d: int, exact: bool) -> list:
+        if d < 1:
+            return self._zeros
+        leq = self.leq[nt_id]
+        return [a - b for a, b in zip(leq[d], leq[d - 1])] if exact else leq[d]
 
 
 # Count tables, least recently used first, keyed by (rule fingerprint,
@@ -207,112 +249,69 @@ def _split_lengths(rng, arrays, suffixes, total):
     return lengths
 
 
-def _sample_leq(tab: _CountTable, rng, nt_id: int, d: int, l: int) -> Ast:
-    g = tab.g
-    rules = [r for r in g.rules if r.lhs.id == nt_id]
-    weights = [tab.by_rule[r.id][d][l] for r in rules]
-    r = rules[_weighted_pick(rng, weights)]
+def _sample(tab: _CountTable, rng, nt_id: int, d: int, l: int, exact: bool) -> Ast:
+    """Uniform tree rooted at nt_id with yield length l and depth exactly d
+    (exact) or at most d. Draws a rule, then (exact only) a plan, then the
+    children's lengths, each in proportion to the trees it leaves; the
+    children follow the plan."""
+    rules = tab.rules[nt_id]
+    r = rules[_weighted_pick(rng, [c[l] for c in tab.rule_counts(nt_id, d, exact)])]
     kids = r.rhs_nonterminals()
     if not kids:
         return Ast(r.id)
-    arrays = [tab.leq[k.id][d - 1] for k in kids]
-    suffixes = tab.suffix[r.id][d - 1]
+    plans = _plans(r, d, exact)
+    if exact:
+        plan = plans[_weighted_pick(rng, [tab.suffixes(r, p)[1][0][l] for p in plans])]
+    else:
+        plan = plans[0]
+    arrays, suffixes = tab.suffixes(r, plan)
     lengths = _split_lengths(rng, arrays, suffixes, l)
-    children = tuple(
-        _sample_leq(tab, rng, k.id, d - 1, lk) for k, lk in zip(kids, lengths)
-    )
-    return Ast(r.id, children)
+    return Ast(r.id, tuple(
+        _sample(tab, rng, kid.id, kd, lk, kexact)
+        for kid, (kd, kexact), lk in zip(kids, plan, lengths)
+    ))
 
 
-def _sample_exact(tab: _CountTable, rng, nt_id: int, d: int, l: int) -> Ast:
-    """Uniform tree with depth exactly d and yield length exactly l."""
-    g = tab.g
-    rules = [r for r in g.rules if r.lhs.id == nt_id]
-    weights = [
-        tab.by_rule[r.id][d][l] - (tab.by_rule[r.id][d - 1][l] if d >= 2 else 0)
-        for r in rules
+def _cells(tab: _CountTable, nt_id: int, bucket: SampleBucket) -> list:
+    return [
+        (d, l)
+        for d in range(bucket.min_depth, bucket.max_depth + 1)
+        for l in range(bucket.min_length, bucket.max_length + 1)
+        if tab.exact(nt_id, d, l) > 0
     ]
-    r = rules[_weighted_pick(rng, weights)]
-    kids = r.rhs_nonterminals()
-    if not kids:
-        return Ast(r.id)
-
-    cap = tab.max_length
-    zeros = [0] * (cap + 1)
-    le_deep = [tab.leq[k.id][d - 1] for k in kids]  # depth <= d-1
-    le_shallow = [
-        tab.leq[k.id][d - 2] if d >= 2 else list(zeros) for k in kids
-    ]  # depth <= d-2
-    exact = [
-        [a - b for a, b in zip(deep, shallow)]
-        for deep, shallow in zip(le_deep, le_shallow)
-    ]
-
-    tcount = r.rhs_terminal_count()
-    base = list(zeros)
-    if tcount <= cap:
-        base[tcount] = 1
-
-    # Partition by the first child that attains depth exactly d-1: earlier
-    # children stay <= d-2, later ones <= d-1.
-    variants = []
-    for i in range(len(kids)):
-        arrays = [le_shallow[j] for j in range(i)] + [exact[i]] + [
-            le_deep[j] for j in range(i + 1, len(kids))
-        ]
-        suffixes = [base]
-        for arr in reversed(arrays):
-            suffixes.append(_conv(arr, suffixes[-1], cap))
-        suffixes.reverse()
-        variants.append((arrays, suffixes))
-    i = _weighted_pick(rng, [v[1][0][l] for v in variants])
-    arrays, suffixes = variants[i]
-    lengths = _split_lengths(rng, arrays, suffixes, l)
-
-    children = []
-    for j, (k, lk) in enumerate(zip(kids, lengths)):
-        if j < i:
-            children.append(_sample_leq(tab, rng, k.id, d - 2, lk))
-        elif j == i:
-            children.append(_sample_exact(tab, rng, k.id, d - 1, lk))
-        else:
-            children.append(_sample_leq(tab, rng, k.id, d - 1, lk))
-    return Ast(r.id, tuple(children))
 
 
 def feasible_cells(g: Grammar, bucket: SampleBucket) -> list:
     """All (depth, length) pairs inside the bucket with at least one tree."""
-    tab = _table(g, bucket.max_depth, bucket.max_length)
-    cells = []
-    for d in range(bucket.min_depth, bucket.max_depth + 1):
-        for l in range(bucket.min_length, bucket.max_length + 1):
-            if tab.exact(g.start.id, d, l) > 0:
-                cells.append((d, l))
-    return cells
+    return _cells(_table(g, bucket.max_depth, bucket.max_length), g.start.id, bucket)
 
 
 def sample_program(g: Grammar, bucket: SampleBucket, rng=None):
-    """Draw one (token sequence, tree) with depth and length in the bucket.
-
-    The (depth, length) pair is uniform over the bucket's feasible cells;
-    the tree is uniform among derivations of that exact pair. Reproducible
-    from bucket.seed when no rng is passed.
-    """
-    if rng is None:
-        rng = np.random.default_rng(bucket.seed)
-    cells = feasible_cells(g, bucket)
-    if not cells:
-        raise UnsatisfiableBucket(f"no derivation fits {bucket}")
-    d, l = cells[_rand_below(rng, len(cells))]
-    tab = _table(g, bucket.max_depth, bucket.max_length)
-    t = _sample_exact(tab, rng, g.start.id, d, l)
-    return pretty_print(g, t), t
+    """Draw one (token sequence, tree) with depth and length in the bucket;
+    see sample_corpus."""
+    return sample_corpus(g, bucket, 1, rng)[0]
 
 
 def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
+    """Draw n (token sequence, tree) pairs with depth and length in the
+    bucket.
+
+    Each draw's (depth, length) pair is uniform over the bucket's feasible
+    cells; the tree is uniform among derivations of that exact pair.
+    Reproducible from bucket.seed when no rng is passed.
+    """
     if rng is None:
         rng = np.random.default_rng(bucket.seed)
-    return [sample_program(g, bucket, rng) for _ in range(n)]
+    tab = _table(g, bucket.max_depth, bucket.max_length)
+    cells = _cells(tab, g.start.id, bucket)
+    if n and not cells:
+        raise UnsatisfiableBucket(f"no derivation fits {bucket}")
+    out = []
+    for _ in range(n):
+        d, l = cells[_rand_below(rng, len(cells))]
+        t = _sample(tab, rng, g.start.id, d, l, True)
+        out.append((pretty_print(g, t), t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +321,21 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
 def extract_training_pairs(g: Grammar, t: Ast) -> list:
     """One (subtree yield, subtree root type, applied rule) per node,
     in pre-order."""
-    yields = {}
-
-    def fill(node: Ast) -> tuple:
-        rule = g.rule_by_id(node.rule_id)
-        out = []
-        child_iter = iter(node.children)
-        for sym in rule.rhs:
-            if isinstance(sym, Nonterminal):
-                out.extend(fill(next(child_iter)))
-            else:
-                out.append(sym.id)
-        toks = tuple(out)
-        yields[id(node)] = toks
-        return toks
-
-    fill(t)
     pairs = []
 
-    def walk(node: Ast):
+    def walk(node: Ast) -> list:
         rule = g.rule_by_id(node.rule_id)
-        pairs.append(TrainingPair(yields[id(node)], rule.lhs, node.rule_id))
-        for c in node.children:
-            walk(c)
+        slot = len(pairs)
+        pairs.append(None)  # filled once the children's yields are known
+        toks = []
+        children = iter(node.children)
+        for sym in rule.rhs:
+            if isinstance(sym, Nonterminal):
+                toks.extend(walk(next(children)))
+            else:
+                toks.append(sym.id)
+        pairs[slot] = TrainingPair(tuple(toks), rule.lhs, node.rule_id)
+        return toks
 
     walk(t)
     return pairs

@@ -62,7 +62,7 @@ def test_depth_limit(g):
               InferConfig(mode="fallback", max_recursion_depth=4))
 
 
-@pytest.mark.parametrize("mode", ["greedy", "fallback"])
+@pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
 def test_depth_limit_on_a_span_repeated_across_levels(g, mode):
     # The second v0 sits at level 6 and shares its (span, nt) with the
     # first at level 3; serving it from the selector memo must not let it
@@ -116,9 +116,9 @@ def test_beam_dominates_greedy(g, small_trained, width):
 
 
 def test_verification_catches_nothing_on_sound_paths(g):
-    # with verification off, fallback output still reconstructs the input
+    # fallback output reconstructs the input, so the check never fires
     selector = oracle_selector(g)
-    cfg = InferConfig(mode="fallback", verify_reconstruction=False)
+    cfg = InferConfig(mode="fallback")
     for tokens, _ in sample_corpus(g, SampleBucket(4, 20, 1, 10, seed=24), 50):
         assert pretty_print(g, infer(g, tokens, selector, cfg)) == tokens
 

@@ -1,3 +1,7 @@
+import hashlib
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from ngparse.sampler import (
     write_corpus,
     write_pairs,
 )
-from ngparse.tree import ast_equal, depth, node_count, pretty_print
+from ngparse.tree import ast_equal, depth, node_count, pretty_print, serialize
 
 
 def test_minimal_bucket_yields_assignments(g):
@@ -162,3 +166,91 @@ def test_equal_grammars_share_one_count_table():
     for max_depth in range(8, 8 + 2 * sampler._MAX_TABLES):
         sampler._table(g1, max_depth, 16)
     assert len(sampler._TABLES) == sampler._MAX_TABLES
+
+
+def _enumerated_counts(g, max_depth, max_length):
+    """Brute force: one (depth, length) entry per tree rooted at each
+    nonterminal, for every tree of depth <= max_depth and yield length <=
+    max_length, counted by cell."""
+
+    @lru_cache(maxsize=None)
+    def trees(nt, d):
+        if d < 1:
+            return ()
+        out = []
+        for r in g.rules_for(nt):
+            partial = [(1, r.rhs_terminal_count())]
+            for kid in r.rhs_nonterminals():
+                partial = [
+                    (max(pd, kd + 1), pl + kl)
+                    for pd, pl in partial
+                    for kd, kl in trees(kid, d - 1)
+                    if pl + kl <= max_length
+                ]
+            out += [(pd, pl) for pd, pl in partial if pl <= max_length]
+        return tuple(out)
+
+    return {nt.id: Counter(trees(nt, max_depth)) for nt in g.nonterminals}
+
+
+def test_count_table_matches_tree_enumeration(g):
+    max_depth, max_length = 7, 5
+    tab = sampler._table(g, max_depth, max_length)
+    enumerated = _enumerated_counts(g, max_depth, max_length)
+    assert sum(sum(c.values()) for c in enumerated.values()) > 1000
+    for nt in g.nonterminals:
+        cells = enumerated[nt.id]
+        for d in range(1, max_depth + 1):
+            for l in range(max_length + 1):
+                exact = cells[(d, l)]
+                leq = sum(cells[(dd, l)] for dd in range(1, d + 1))
+                assert tab.exact(nt.id, d, l) == exact, (nt.name, d, l)
+                assert tab.leq[nt.id][d][l] == leq, (nt.name, d, l)
+
+
+# sha256 of the draws below as the sampler made them before its "<= d" and
+# "exactly d" recursions became one: the same rng calls with the same
+# weights give the same bytes. The buckets are the perfbench parse
+# workloads', a curriculum stage's and one reaching down to depth 1.
+PINNED_BUCKETS = (
+    SampleBucket(30, 30, 11, 11),
+    SampleBucket(8, 15, 1, 9),
+    SampleBucket(8, 16, 1, 12),
+    curriculum_schedule(4, base_seed=0)[1],
+    SampleBucket(4, 8, 1, 7),
+)
+PINNED_CORPUS_SHA256 = "999b5adc5b0997bfd9c2711f8103a94b9dd2339b466db65011ee8a82f455c252"
+# Draws from every nonterminal at depth 1 and 2, "exactly d" and "<= d".
+PINNED_EDGE_SHA256 = "0a39d6b2b98a68c6a9bccb3b8dec655313760d60e14b2e125debca6755a4207a"
+
+
+def test_draws_are_pinned(g):
+    h = hashlib.sha256()
+    for b in PINNED_BUCKETS:
+        h.update(repr(feasible_cells(g, b)).encode())
+        for seed in range(3):
+            for tokens, t in sample_corpus(g, b, 20, np.random.default_rng(seed)):
+                h.update(f"{g.decode(tokens)}\t{serialize(g, t)}\n".encode())
+    assert h.hexdigest() == PINNED_CORPUS_SHA256
+
+    tab = sampler._table(g, 8, 16)
+    rng = np.random.default_rng(5)
+    h = hashlib.sha256()
+    for nt in g.nonterminals:
+        for d in (1, 2):
+            for l in range(tab.max_length + 1):
+                for exact in (True, False):
+                    if not (tab.exact(nt.id, d, l) if exact else tab.leq[nt.id][d][l]):
+                        continue
+                    for _ in range(3):
+                        t = sampler._sample(tab, rng, nt.id, d, l, exact)
+                        h.update(f"{nt.name} {d} {l} {exact} {serialize(g, t)}\n".encode())
+    assert h.hexdigest() == PINNED_EDGE_SHA256
+
+
+@pytest.mark.parametrize(
+    "bucket", PINNED_BUCKETS,
+    ids=lambda b: f"{b.min_length}:{b.max_length}:{b.min_depth}:{b.max_depth}",
+)
+def test_sample_program_is_the_first_of_a_corpus(g, bucket):
+    assert sample_program(g, bucket) == sample_corpus(g, bucket, 1)[0]
