@@ -29,13 +29,19 @@ def decompose(g: Grammar, tokens, rule: ProductionRule) -> list:
     toks = tuple(tokens)
     if not toks:
         raise DecompositionFailure(f"{rule.name}: empty input")
+    rhs = rule.rhs
+    # A split matches a leading rhs terminal at the first token and a
+    # trailing one at the last, so a span that does not is rejected here,
+    # before the scan.
+    for sym, tok in zip(rhs[:1] + rhs[-1:], (toks[0], toks[-1])):
+        if isinstance(sym, Token) and tok != sym.id:
+            raise DecompositionFailure(f"{rule.name}: span does not fit {sym.text!r}")
     texts = tuple(g.vocabulary[i].text for i in toks)
     openers = set(OPENERS)
     closers = set(CLOSERS)
 
     components = []
     pos = 0
-    rhs = rule.rhs
     i = 0
     while i < len(rhs):
         sym = rhs[i]

@@ -1,8 +1,9 @@
 """Recursive guided inference: pick a rule per layer, split the tokens,
-recurse. One expansion step proposes the ranked rules that decompose a
-span. A depth-first search over them is fallback (retry the next rule
-when a child does not parse) or, over the top-ranked rule only, greedy;
-beam keeps the best-scoring partial derivations of each level.
+recurse. One expansion step proposes the rules that decompose a span,
+ranked by the selector where they leave it a choice. A depth-first
+search over them is fallback (retry the next rule when a child does not
+parse) or, over the top-ranked rule only, greedy; beam keeps the
+best-scoring partial derivations of each level.
 """
 
 from __future__ import annotations
@@ -106,12 +107,17 @@ def infer(
     input. states is one dict per infer call, for the selector to keep
     what its calls on this input share (model_selector: the encoder's
     prefix trie, see guider.encode); it is dropped when the call returns.
-    Within a call the selector is asked about each (span, nt) once.
+    Within a call the selector is asked about each (span, nt) at most once,
+    and only when its answer can change the result: when at least two
+    rules of nt decompose the span in fallback, at least one in greedy and
+    beam. So fallback tries a lone splitting rule even if the selector
+    would rank it -inf.
 
-    Every mode uses one expansion step: the ranked rules that are not -inf
-    and that decompose the span, best first, with their child goals.
-    fallback and greedy (top-ranked rule only) search them depth first;
-    beam keeps the best-scoring partial derivations of each level.
+    Every mode uses one expansion step: the rules that decompose the span,
+    with their child goals; when the selector was asked, in its order and
+    without the rules it ranks -inf. fallback and greedy (top-ranked rule
+    only) search them depth first; beam keeps the best-scoring partial
+    derivations of each level.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -120,23 +126,34 @@ def infer(
         nt = g.start
 
     states, memo = {}, {}
+    # The fewest splitting rules that leave the selector a choice: greedy
+    # needs its top-ranked rule and beam its scores even for one.
+    ask_from = 2 if cfg.mode == "fallback" else 1
     alternatives = 1 if cfg.mode == "greedy" else None
 
     def expand(toks, goal):
-        """Yield (rule, logprob, ((span, nt), ...)) best first."""
+        """The proposals (rule, logprob, ((span, nt), ...)), best first;
+        logprob is None where the selector was not asked."""
         key = (toks, goal.id)
-        ranked = memo.get(key)
-        if ranked is None:
-            ranked = memo[key] = selector(toks, goal, states)[:alternatives]
-        for rule_id, logprob in ranked:
-            if logprob == -math.inf:
-                continue
-            rule = g.rule_by_id(rule_id)
-            try:
-                components = decompose(g, toks, rule)
-            except DecompositionFailure:
-                continue
-            yield rule, logprob, tuple(zip(components, rule.rhs_nonterminals()))
+        proposals = memo.get(key)
+        if proposals is None:
+            splits = {}
+            for rule in g.rules_for(goal):
+                try:
+                    components = decompose(g, toks, rule)
+                except DecompositionFailure:
+                    continue
+                splits[rule.id] = rule, tuple(zip(components, rule.rhs_nonterminals()))
+            if len(splits) < ask_from:
+                proposals = [(rule, None, goals) for rule, goals in splits.values()]
+            else:
+                proposals = []
+                for rule_id, logprob in selector(toks, goal, states)[:alternatives]:
+                    if logprob != -math.inf and rule_id in splits:
+                        rule, goals = splits[rule_id]
+                        proposals.append((rule, logprob, goals))
+            memo[key] = proposals
+        return proposals
 
     if cfg.mode == "beam":
         result = _infer_beam(g, expand, tokens, nt, cfg)

@@ -1,7 +1,10 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from ngparse.decompose import DecompositionFailure, decompose
-from ngparse.grammar import Nonterminal, Token
+from ngparse.grammar import CLOSERS, OPENERS, Nonterminal, Token
 from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.tree import pretty_print
 
@@ -97,3 +100,60 @@ def test_true_root_rule_always_decomposes(g):
     corpus = sample_corpus(g, SampleBucket(4, 28, 1, 11, seed=10), 120)
     for tokens, tree in corpus:
         decompose(g, tokens, g.rule_by_id(tree.rule_id))  # must not raise
+
+
+def _fuzz_spans(g, n, seed):
+    """Seeded token spans: the empty span, every single token, then uniform
+    random spans, bracket-heavy (often unbalanced) spans, delimiter-heavy
+    spans and spans built from a random rule's rhs with short random fills,
+    which split far more often than random ones."""
+    rng = np.random.default_rng(seed)
+    vocab = len(g.vocabulary)
+    brackets = [g.token(t).id for t in OPENERS + CLOSERS]
+    delims = sorted({s.id for r in g.rules for s in r.rhs[1:] if isinstance(s, Token)})
+    yield ()
+    for tok in range(vocab):
+        yield (tok,)
+    for _ in range(n):
+        kind = int(rng.integers(4))
+        length = int(rng.integers(1, 16))
+        if kind == 0:
+            span = rng.integers(0, vocab, size=length)
+        elif kind in (1, 2):
+            biased = brackets if kind == 1 else delims
+            pick = rng.random(length) < 0.6
+            span = np.where(pick, rng.choice(biased, size=length),
+                            rng.integers(0, vocab, size=length))
+        else:
+            rule = g.rules[int(rng.integers(len(g.rules)))]
+            span = []
+            for sym in rule.rhs:
+                if isinstance(sym, Token):
+                    span.append(sym.id)
+                else:
+                    fill = int(rng.integers(0, 4))
+                    span.extend(rng.choice(brackets + delims + list(range(vocab)),
+                                           size=fill))
+        yield tuple(int(t) for t in span)
+
+
+# sha256 of every (span, rule) outcome below: the components of a split, or
+# "fail" for a DecompositionFailure. Any other exception fails the test.
+PINNED_DECOMPOSE_SHA256 = "92a74fda347f1bd53bed2559edc39c555c980730b64278dbdd74976c58d8e8e1"
+
+
+def test_decompose_fuzz_outcomes_are_pinned(g):
+    h = hashlib.sha256()
+    splits = 0
+    for span in _fuzz_spans(g, 3000, seed=5):
+        for rule in g.rules:
+            try:
+                out = decompose(g, span, rule)
+            except DecompositionFailure:
+                out = "fail"
+            else:
+                splits += 1
+                assert _interleave(g, rule, out) == span
+            h.update(f"{span} {rule.id} {out}\n".encode())
+    assert splits > 500
+    assert h.hexdigest() == PINNED_DECOMPOSE_SHA256

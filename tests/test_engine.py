@@ -5,6 +5,7 @@ import pytest
 
 from conftest import FIXTURE_MODEL
 from ngparse import guider
+from ngparse.decompose import DecompositionFailure, decompose
 from ngparse.engine import (
     DepthLimitExceeded,
     InferConfig,
@@ -90,8 +91,6 @@ def _tree_score(g, model, tree, tokens, nt):
     p = probs[tree.rule_id]
     score = math.log(p) if p > 0 else -math.inf
     rule = g.rule_by_id(tree.rule_id)
-    from ngparse.decompose import decompose
-
     comps = decompose(g, tokens, rule)
     for child, comp, knt in zip(tree.children, comps, rule.rhs_nonterminals()):
         score += _tree_score(g, model, child, comp, knt)
@@ -184,3 +183,73 @@ def test_fixture_model_trees_are_pinned(g):
                 lines.append(f"{bucket} {mode} {out}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_TREES_SHA256
+
+
+def _splitting_rules(g, tokens, nt):
+    out = []
+    for rule in g.rules_for(nt):
+        try:
+            decompose(g, tokens, rule)
+        except DecompositionFailure:
+            continue
+        out.append(rule.id)
+    return out
+
+
+# Selector calls of fallback on the (30, 30, 11, 11) bucket of the pinned
+# corpus when infer asked about every (span, nt) it visited, before it
+# decomposed first. Asking only where a choice remains makes 1242.
+FALLBACK_CALLS_ASKING_EVERY_VISIT = 2808
+
+
+def test_selector_is_asked_only_when_a_choice_remains(g):
+    select = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    fewest = {"fallback": 2, "greedy": 1, "beam": 1}
+    for bucket in [(30, 30, 11, 11), (8, 15, 1, 9), (16, 24, 5, 10)]:
+        corpus = sample_corpus(g, SampleBucket(*bucket, seed=41), 60)
+        for mode in ("greedy", "fallback", "beam"):
+            calls = 0
+            for tokens, _ in corpus:
+                asked = []
+
+                def counting(toks, nt, states):
+                    asked.append((toks, nt))
+                    return select(toks, nt, states)
+
+                try:
+                    infer(g, tokens, counting, InferConfig(mode=mode))
+                except InferenceError:
+                    pass
+                assert len(set(asked)) == len(asked)
+                for toks, nt in asked:
+                    assert len(_splitting_rules(g, toks, nt)) >= fewest[mode]
+                calls += len(asked)
+            if bucket == (30, 30, 11, 11) and mode == "fallback":
+                assert calls < FALLBACK_CALLS_ASKING_EVERY_VISIT
+
+
+def test_fallback_takes_a_lone_splitting_rule_the_selector_rules_out(g):
+    # Only V1 splits "v0" as a Var. Fallback takes it without asking, so
+    # the selector's -inf never counts; greedy and beam ask and drop it.
+    asked = []
+
+    def rules_out_all(tokens, nt, states):
+        asked.append(tokens)
+        return [(r.id, -math.inf) for r in g.rules_for(nt)]
+
+    tokens, var = g.encode("v0"), g.nonterminal("Var")
+    tree = infer(g, tokens, rules_out_all, InferConfig(mode="fallback"), nt=var)
+    assert serialize(g, tree) == "(V1)" and asked == []
+    for mode in ("greedy", "beam"):
+        with pytest.raises(Unparseable):
+            infer(g, tokens, rules_out_all, InferConfig(mode=mode), nt=var)
+    assert asked == [tokens, tokens]
+
+
+@pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
+def test_oracle_on_a_non_derivable_input_is_unparseable(g, mode):
+    # S2 is the only rule to split the Stmt span, so fallback tries it
+    # without asking the oracle, which ranks nothing here; no rule splits
+    # "v0 v0 v0" as a SimpStmt.
+    with pytest.raises(Unparseable):
+        infer(g, g.encode("v0 v0 v0 ;"), oracle_selector(g), InferConfig(mode=mode))
