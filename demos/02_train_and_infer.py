@@ -12,7 +12,6 @@ from ngparse import (
     InferConfig,
     SampleBucket,
     TrainConfig,
-    ast_equal,
     build_grammar,
     curriculum_schedule,
     infer,
@@ -48,7 +47,7 @@ print("\nguided inference on out-of-distribution programs (length 20-24):")
 corpus = sample_corpus(g, SampleBucket(20, 24, 1, 11, seed=9), 50)
 selector = model_selector(g, model)
 ok = sum(
-    ast_equal(infer(g, tokens, selector, InferConfig(mode="fallback")), tree)
+    infer(g, tokens, selector, InferConfig(mode="fallback")) == tree
     for tokens, tree in corpus
 )
 print(f"exact match {ok}/{len(corpus)}")

@@ -3,7 +3,7 @@ selector, an exhaustive-search baseline, and a generalization evaluation
 harness for a small WHILE-style language."""
 
 from .grammar import Grammar, Nonterminal, ProductionRule, Token, build_grammar, validate_grammar
-from .tree import Ast, ast_equal, depth, deserialize, node_count, pretty_print, serialize
+from .tree import Ast, depth, deserialize, node_count, pretty_print, serialize
 from .parser import ParseError, reference_parse
 from .decompose import DecompositionFailure, decompose
 from .sampler import (

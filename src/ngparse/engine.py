@@ -117,11 +117,15 @@ def infer(
     with their child goals; when the selector was asked, in its order and
     without the rules it ranks -inf. fallback and greedy (top-ranked rule
     only) search them depth first; beam keeps the best-scoring partial
-    derivations of each level.
+    derivations of each level. An empty input, or one with a token id
+    outside the vocabulary, raises Unparseable before any work.
     """
     tokens = tuple(tokens)
     if not tokens:
         raise Unparseable("empty input")
+    for pos, tok in enumerate(tokens):
+        if not 0 <= tok < len(g.vocabulary):
+            raise Unparseable(f"token id {tok} at position {pos} is not in the vocabulary")
     if nt is None:
         nt = g.start
 

@@ -10,7 +10,7 @@ tree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .engine import InferConfig, InferenceError, infer, model_selector, oracle_s
 from .grammar import Grammar
 from .sampler import SampleBucket, UnsatisfiableBucket, derive_seed, sample_corpus
 from .search import SearchConfig, iddfs_parse
-from .tree import ast_equal
 
 __all__ = ["EvalRecord", "evaluate_grid", "write_csv", "read_csv"]
 
@@ -39,7 +38,7 @@ class EvalRecord:
     errors: dict = field(default_factory=dict)
 
 
-def _make_runner(g, method, model, infer_cfg, search_cfg):
+def _make_runner(g, method, model, search_cfg):
     if method == "search":
         cfg = search_cfg or SearchConfig()
 
@@ -51,10 +50,10 @@ def _make_runner(g, method, model, infer_cfg, search_cfg):
 
     if method == "oracle":
         selector = oracle_selector(g)
-        cfg = infer_cfg or InferConfig()
+        cfg = InferConfig()
     else:
         selector = model_selector(g, model)
-        cfg = replace(infer_cfg or InferConfig(), mode=_GUIDED_MODES[method])
+        cfg = InferConfig(mode=_GUIDED_MODES[method])
 
     def run(tokens):
         try:
@@ -73,7 +72,6 @@ def evaluate_grid(
     per_cell: int = 100,
     seed: int = 0,
     model=None,
-    infer_cfg: InferConfig = None,
     search_cfg: SearchConfig = None,
 ) -> list:
     """One EvalRecord per (method, depth, length) cell.
@@ -90,7 +88,7 @@ def evaluate_grid(
     if needs_model and model is None:
         raise ValueError(f"methods {needs_model} require a model")
 
-    runners = {m: _make_runner(g, m, model, infer_cfg, search_cfg) for m in methods}
+    runners = {m: _make_runner(g, m, model, search_cfg) for m in methods}
     records = []
     for d in sorted(depths):
         for l in sorted(lengths):
@@ -111,7 +109,7 @@ def evaluate_grid(
                     t0 = time.perf_counter()
                     tree, err = runners[method](tokens)
                     times.append(time.perf_counter() - t0)
-                    if tree is not None and ast_equal(tree, truth):
+                    if tree is not None and tree == truth:
                         matches += 1
                     elif tree is not None:
                         errors["mismatch"] = errors.get("mismatch", 0) + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Nonterminal",
@@ -141,6 +142,13 @@ class Grammar:
 
     def decode(self, token_ids) -> str:
         return " ".join(self.vocabulary[i].text for i in token_ids)
+
+    @cached_property
+    def nesting(self) -> dict:
+        """Token id -> +1 for a nesting opener, -1 for a closer; built on
+        first use, so building a grammar does not pay for it."""
+        steps = {**dict.fromkeys(OPENERS, 1), **dict.fromkeys(CLOSERS, -1)}
+        return {t.id: steps[t.text] for t in self.vocabulary if t.text in steps}
 
     # -- fingerprints ------------------------------------------------------
 

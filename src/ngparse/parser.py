@@ -163,11 +163,15 @@ def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
     """Parse a token-id sequence into the unique tree rooted at nt.
 
     Raises ParseError (with a furthest-token diagnostic) when no
-    derivation consumes the input exactly.
+    derivation consumes the input exactly or a token id is not in the
+    vocabulary.
     """
     tokens = tuple(tokens)
     if not tokens:
         raise ParseError("empty input", 0)
+    for pos, tok in enumerate(tokens):
+        if not 0 <= tok < len(g.vocabulary):
+            raise ParseError(f"token id {tok} is not in the vocabulary", pos)
     if nt is None:
         nt = g.start
     p = _Parser(g, tokens)

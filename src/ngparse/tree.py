@@ -1,7 +1,8 @@
 """Rule-application trees: metrics, equality, yield, and text serialization.
 
 A tree node stores only its rule id; terminals are implied by the rule, so
-structural equality and the parenthesized text format are both canonical.
+structural equality (``==`` on the frozen dataclass) and the parenthesized
+text format are both canonical.
 Token sequences are plain tuples of vocabulary ids.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import Grammar, Nonterminal, Token
+from .grammar import Grammar, Token
 
 __all__ = [
     "Ast",
@@ -18,7 +19,6 @@ __all__ = [
     "pretty_print",
     "depth",
     "node_count",
-    "ast_equal",
     "serialize",
     "deserialize",
 ]
@@ -36,38 +36,39 @@ class Ast:
 
 def validate_tree(g: Grammar, t: Ast) -> None:
     """Raise TreeError unless every node's children match its rule's rhs."""
-    rule = g.rule_by_id(t.rule_id)
+    _yield_into(g, t, g.rule_by_id(t.rule_id), [])
+
+
+def pretty_print(g: Grammar, t: Ast) -> tuple:
+    """Terminal yield of the derivation, as a tuple of token ids. Raises
+    TreeError at the first node, in preorder, whose children do not match
+    its rule's rhs."""
+    out = []
+    _yield_into(g, t, g.rule_by_id(t.rule_id), out)
+    return tuple(out)
+
+
+def _yield_into(g: Grammar, t: Ast, rule, out: list) -> None:
+    """Append the yield of t, whose rule is rule, to out, checking each
+    node before its children."""
     kids = rule.rhs_nonterminals()
     if len(t.children) != len(kids):
         raise TreeError(
             f"{rule.name}: expected {len(kids)} children, got {len(t.children)}"
         )
-    for child, nt in zip(t.children, kids):
-        child_rule = g.rule_by_id(child.rule_id)
-        if child_rule.lhs != nt:
-            raise TreeError(
-                f"{rule.name}: child rule {child_rule.name} has lhs "
-                f"{child_rule.lhs.name}, expected {nt.name}"
-            )
-        validate_tree(g, child)
-
-
-def pretty_print(g: Grammar, t: Ast) -> tuple:
-    """Terminal yield of the derivation, as a tuple of token ids."""
-    validate_tree(g, t)
-    out = []
-    _yield_into(g, t, out)
-    return tuple(out)
-
-
-def _yield_into(g: Grammar, t: Ast, out: list) -> None:
-    rule = g.rule_by_id(t.rule_id)
     child_iter = iter(t.children)
     for sym in rule.rhs:
         if isinstance(sym, Token):
             out.append(sym.id)
-        else:
-            _yield_into(g, next(child_iter), out)
+            continue
+        child = next(child_iter)
+        child_rule = g.rule_by_id(child.rule_id)
+        if child_rule.lhs != sym:
+            raise TreeError(
+                f"{rule.name}: child rule {child_rule.name} has lhs "
+                f"{child_rule.lhs.name}, expected {sym.name}"
+            )
+        _yield_into(g, child, child_rule, out)
 
 
 def depth(t: Ast) -> int:
@@ -77,14 +78,6 @@ def depth(t: Ast) -> int:
 
 def node_count(t: Ast) -> int:
     return 1 + sum(node_count(c) for c in t.children)
-
-
-def ast_equal(a: Ast, b: Ast) -> bool:
-    return (
-        a.rule_id == b.rule_id
-        and len(a.children) == len(b.children)
-        and all(ast_equal(x, y) for x, y in zip(a.children, b.children))
-    )
 
 
 def serialize(g: Grammar, t: Ast) -> str:

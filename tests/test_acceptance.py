@@ -36,7 +36,7 @@ from ngparse.sampler import (
 )
 from ngparse.search import SearchConfig, iddfs_parse
 from ngparse.evaluate import evaluate_grid
-from ngparse.tree import ast_equal, pretty_print
+from ngparse.tree import pretty_print
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -102,7 +102,7 @@ def test_criterion_1_oracle_equivalence(g, big_corpus):
     bad = sum(
         1
         for tokens, tree in corpus
-        if not ast_equal(infer(g, tokens, selector, cfg), tree)
+        if infer(g, tokens, selector, cfg) != tree
     )
     infer_s = time.perf_counter() - t0
     total = gen_s + infer_s
@@ -123,7 +123,7 @@ def test_criterion_2_round_trip(g, big_corpus):
     bad = 0
     for tokens, tree in corpus:
         parsed = reference_parse(g, tokens)
-        if not ast_equal(parsed, tree) or pretty_print(g, parsed) != tokens:
+        if parsed != tree or pretty_print(g, parsed) != tokens:
             bad += 1
         if pretty_print(g, reference_parse(g, pretty_print(g, tree))) != tokens:
             bad += 1
@@ -258,7 +258,7 @@ def test_criterion_7_baseline_contrast(g, full_model):
         for tokens, tree in corpus
         if not (
             (res := iddfs_parse(g, tokens, cfg)).status == "found"
-            and ast_equal(res.tree, tree)
+            and res.tree == tree
         )
     )
 

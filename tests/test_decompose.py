@@ -157,3 +157,23 @@ def test_decompose_fuzz_outcomes_are_pinned(g):
             h.update(f"{span} {rule.id} {out}\n".encode())
     assert splits > 500
     assert h.hexdigest() == PINNED_DECOMPOSE_SHA256
+
+
+def test_unknown_token_ids_split_or_fail_typed(g):
+    """decompose only compares ids, so a span with ids outside the
+    vocabulary splits like any other span or raises DecompositionFailure."""
+    program = g.encode("if v0 < ( 1 + v2 ) then v1 = 2 ; else v1 = 3 ; endif ;")
+    splits = 0
+    for bad in (-1, len(g.vocabulary), 999):
+        spans = [(bad,), (bad, bad)]
+        spans += [program[:i] + (bad,) + program[i:] for i in range(len(program) + 1)]
+        spans += [program[:i] + (bad,) + program[i + 1:] for i in range(len(program))]
+        for span in spans:
+            for rule in g.rules:
+                try:
+                    out = decompose(g, span, rule)
+                except DecompositionFailure:
+                    continue
+                splits += 1
+                assert _interleave(g, rule, out) == span
+    assert splits > 0

@@ -17,7 +17,7 @@ from ngparse.engine import (
 )
 from ngparse.guider import predict_rule_distribution
 from ngparse.sampler import SampleBucket, sample_corpus
-from ngparse.tree import ast_equal, pretty_print, serialize
+from ngparse.tree import pretty_print, serialize
 
 
 def test_config_validation():
@@ -32,7 +32,7 @@ def test_oracle_equivalence_all_modes(g, mode, width):
     selector = oracle_selector(g)
     cfg = InferConfig(mode=mode, beam_width=width)
     for tokens, truth in sample_corpus(g, SampleBucket(4, 30, 1, 11, seed=21), 150):
-        assert ast_equal(infer(g, tokens, selector, cfg), truth)
+        assert infer(g, tokens, selector, cfg) == truth
 
 
 def test_fallback_survives_terminal_mismatch(g, tiny_model):
@@ -79,7 +79,7 @@ def test_trained_model_parses_in_distribution(g, small_trained):
     selector = model_selector(g, small_trained)
     corpus = sample_corpus(g, SampleBucket(5, 15, 1, 9, seed=22), 100)
     ok = sum(
-        ast_equal(infer(g, tokens, selector, InferConfig(mode="fallback")), truth)
+        infer(g, tokens, selector, InferConfig(mode="fallback")) == truth
         for tokens, truth in corpus
     )
     assert ok == len(corpus)
@@ -137,7 +137,7 @@ def test_fallback_encodes_each_span_prefix_once_per_call(g, small_trained, monke
 
     cfg = InferConfig(mode="fallback")
     tokens, truth = sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=26), 1)[0]
-    assert ast_equal(infer(g, tokens, selector, cfg), truth)
+    assert infer(g, tokens, selector, cfg) == truth
     prefixes = {s[:i] for s in spans for i in range(1, len(s) + 1)}
     first = len(steps)
     assert first == len(prefixes)
@@ -253,3 +253,28 @@ def test_oracle_on_a_non_derivable_input_is_unparseable(g, mode):
     # "v0 v0 v0" as a SimpStmt.
     with pytest.raises(Unparseable):
         infer(g, g.encode("v0 v0 v0 ;"), oracle_selector(g), InferConfig(mode=mode))
+
+
+def _spans_with_unknown_ids(g):
+    """(span, position of its first unknown id): lone ids just outside the
+    vocabulary and far from it, and a valid program with one spliced in."""
+    program = g.encode("if v0 < 1 then v1 = ( 2 + v0 ) ; else v1 = 3 ; endif ;")
+    for bad in (-1, len(g.vocabulary), 999):
+        yield (bad,), 0
+        yield program[:9] + (bad,) + program[9:], 9
+
+
+@pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
+@pytest.mark.parametrize("which", ["model", "oracle"])
+def test_unknown_token_ids_are_unparseable_before_any_work(g, tiny_model, mode, which):
+    base = model_selector(g, tiny_model) if which == "model" else oracle_selector(g)
+    calls = []
+
+    def selector(tokens, nt, states):
+        calls.append(tokens)
+        return base(tokens, nt, states)
+
+    for span, pos in _spans_with_unknown_ids(g):
+        with pytest.raises(Unparseable, match=f"token id {span[pos]} at position {pos}"):
+            infer(g, span, selector, InferConfig(mode=mode))
+    assert calls == []

@@ -2,7 +2,7 @@ import pytest
 
 from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
-from ngparse.tree import ast_equal, pretty_print, serialize
+from ngparse.tree import pretty_print, serialize
 
 
 def test_assignment(g):
@@ -54,5 +54,18 @@ def test_agreement_with_generator(g):
     corpus = sample_corpus(g, SampleBucket(4, 30, 1, 11, seed=123), 300)
     for tokens, truth in corpus:
         t = reference_parse(g, tokens)
-        assert ast_equal(t, truth)
+        assert t == truth
         assert pretty_print(g, t) == tokens
+
+
+@pytest.mark.parametrize("bad", [-1, 33, 999])  # 33: one past the last id
+def test_unknown_token_id_is_a_parse_error(g, bad):
+    program = g.encode("v0 = 1 ; v1 = 2 ;")
+    for tokens, nt, pos in [
+        ((bad,), g.nonterminal("Const"), 0),
+        ((bad,), g.start, 0),
+        (program[:5] + (bad,) + program[5:], g.start, 5),
+    ]:
+        with pytest.raises(ParseError, match=f"token id {bad} ") as info:
+            reference_parse(g, tokens, nt)
+        assert info.value.furthest == pos

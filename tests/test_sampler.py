@@ -22,7 +22,7 @@ from ngparse.sampler import (
     write_corpus,
     write_pairs,
 )
-from ngparse.tree import ast_equal, depth, node_count, pretty_print, serialize
+from ngparse.tree import depth, node_count, pretty_print, serialize
 
 
 def test_minimal_bucket_yields_assignments(g):
@@ -53,7 +53,7 @@ def test_determinism_same_seed(g):
 
 def test_generated_pairs_agree_with_parser(g):
     for tokens, tree in sample_corpus(g, SampleBucket(4, 25, 1, 11, seed=3), 200):
-        assert ast_equal(reference_parse(g, tokens), tree)
+        assert reference_parse(g, tokens) == tree
 
 
 def test_unsatisfiable_bucket(g):

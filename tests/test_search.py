@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from ngparse.parser import reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.search import SearchConfig, iddfs_parse
-from ngparse.tree import ast_equal, pretty_print, serialize
+from ngparse.tree import pretty_print, serialize
 
 
 def test_finds_assignment_at_its_depth(g):
@@ -20,8 +21,8 @@ def test_agrees_with_reference_parser(g):
     for tokens, truth in sample_corpus(g, SampleBucket(4, 14, 1, 11, seed=31), 40):
         res = iddfs_parse(g, tokens, cfg)
         assert res.status == "found"
-        assert ast_equal(res.tree, truth)
-        assert ast_equal(res.tree, reference_parse(g, tokens))
+        assert res.tree == truth
+        assert res.tree == reference_parse(g, tokens)
         assert pretty_print(g, res.tree) == tokens
 
 
@@ -54,3 +55,23 @@ def test_median_time_superlinear(g):
             times.append(res.elapsed_s)
         medians[length] = statistics.median(times)
     assert medians[16] >= 4 * medians[8]
+
+
+# sha256 over each input's serialized tree, status, final depth limit and
+# nodes expanded: 60 seeded programs and one input the search exhausts.
+PINNED_SEARCH_SHA256 = "2fcbdc75614429d0b90df86ef85e18e3bd716dc961231271418327b847737e9a"
+
+
+def test_search_outcomes_are_pinned(g):
+    cfg = SearchConfig(max_depth=16, time_limit_s=600)
+    inputs = [t for t, _ in sample_corpus(g, SampleBucket(4, 14, 1, 11, seed=34), 60)]
+    inputs.append(g.encode("v0 v0 ;"))
+    h = hashlib.sha256()
+    statuses = []
+    for tokens in inputs:
+        res = iddfs_parse(g, tokens, cfg)
+        tree = serialize(g, res.tree) if res.tree is not None else None
+        statuses.append(res.status)
+        h.update(f"{tokens} {tree} {res.status} {res.depth_limit} {res.nodes_expanded}\n".encode())
+    assert statuses == ["found"] * 60 + ["exhausted"]
+    assert h.hexdigest() == PINNED_SEARCH_SHA256

@@ -6,7 +6,6 @@ from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.tree import (
     Ast,
     TreeError,
-    ast_equal,
     depth,
     deserialize,
     node_count,
@@ -52,19 +51,19 @@ def test_depth_recurrence(g):
 
 def test_ast_equal(g):
     a = _tree(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))")
-    assert ast_equal(a, a)
+    assert a == a
     b = _tree(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C3))))))")
-    assert not ast_equal(a, b)
+    assert a != b
     s1 = _tree(
         g,
         "(S1 (A1 (V1) (E3 (T2 (F3 (C2))))) (S2 (A1 (V1) (E3 (T2 (F3 (C2)))))))",
     )
-    assert not ast_equal(a, s1)
+    assert a != s1
 
 
 def test_serialize_roundtrip(g):
     t = _tree(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))")
-    assert ast_equal(deserialize(g, serialize(g, t)), t)
+    assert deserialize(g, serialize(g, t)) == t
 
 
 def test_deserialize_leaf(g):
@@ -87,8 +86,8 @@ def test_deserialize_rejects_garbage(g, text):
 def test_random_roundtrips_and_monotonicity(g):
     corpus = sample_corpus(g, SampleBucket(4, 30, 1, 11, seed=77), 150)
     for tokens, t in corpus:
-        assert ast_equal(deserialize(g, serialize(g, t)), t)
-        assert ast_equal(reference_parse(g, pretty_print(g, t)), t)
+        assert deserialize(g, serialize(g, t)) == t
+        assert reference_parse(g, pretty_print(g, t)) == t
         d, n = depth(t), len(pretty_print(g, t))
         for child in t.children:
             assert depth(child) < d
