@@ -32,17 +32,12 @@ def decompose(g: Grammar, tokens, rule: ProductionRule) -> list:
     toks = tuple(tokens)
     if not toks:
         raise DecompositionFailure(f"{rule.name}: empty input")
-    rhs = rule.rhs
-    # A split matches a trailing rhs terminal at the last token, so a span
-    # that does not end with it is rejected before the scan.
-    if isinstance(rhs[-1], Token) and toks[-1] != rhs[-1].id:
-        raise DecompositionFailure(f"{rule.name}: span does not end with {rhs[-1].text!r}")
     nesting = g.nesting
 
     components = []
     pos = 0
     start = None  # where the pending nonterminal's component starts
-    for sym in rhs:
+    for sym in rule.rhs:
         if not isinstance(sym, Token):
             if start is not None:
                 raise DecompositionFailure(

@@ -1,9 +1,9 @@
 """Recursive guided inference: pick a rule per layer, split the tokens,
-recurse. One expansion step proposes the rules that decompose a span,
-ranked by the selector where they leave it a choice. A depth-first
-search over them is fallback (retry the next rule when a child does not
-parse) or, over the top-ranked rule only, greedy; beam keeps the
-best-scoring partial derivations of each level.
+recurse. One expansion step proposes the lookahead candidates that
+decompose a span, ranked by the selector where they leave it a choice. A
+depth-first search over them is fallback (retry the next rule when a
+child does not parse) or, over the top-ranked rule only, greedy; beam
+keeps the best-scoring partial derivations of each level.
 """
 
 from __future__ import annotations
@@ -109,16 +109,19 @@ def infer(
     prefix trie, see guider.encode); it is dropped when the call returns.
     Within a call the selector is asked about each (span, nt) at most once,
     and only when its answer can change the result: when at least two
-    rules of nt decompose the span in fallback, at least one in greedy and
-    beam. So fallback tries a lone splitting rule even if the selector
-    would rank it -inf.
+    candidates decompose the span in fallback, at least one in greedy and
+    beam. The candidates are g.candidates for the span's first and last
+    token, the rules of nt that can derive a span with those ends. So
+    fallback tries a lone splitting candidate even if the selector would
+    rank it -inf.
 
-    Every mode uses one expansion step: the rules that decompose the span,
-    with their child goals; when the selector was asked, in its order and
-    without the rules it ranks -inf. fallback and greedy (top-ranked rule
-    only) search them depth first; beam keeps the best-scoring partial
-    derivations of each level. An empty input, or one with a token id
-    outside the vocabulary, raises Unparseable before any work.
+    Every mode uses one expansion step: the candidates that decompose the
+    span, with their child goals; when the selector was asked, in its
+    order and without the rules it ranks -inf. fallback and greedy
+    (top-ranked rule only) search them depth first; beam keeps the
+    best-scoring partial derivations of each level. An empty input, or one
+    with a token id outside the vocabulary, raises Unparseable before any
+    work.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -142,12 +145,12 @@ def infer(
         proposals = memo.get(key)
         if proposals is None:
             splits = {}
-            for rule in g.rules_for(goal):
+            for rule, kids in g.candidates(goal, toks[0], toks[-1]):
                 try:
                     components = decompose(g, toks, rule)
                 except DecompositionFailure:
                     continue
-                splits[rule.id] = rule, tuple(zip(components, rule.rhs_nonterminals()))
+                splits[rule.id] = rule, tuple(zip(components, kids))
             if len(splits) < ask_from:
                 proposals = [(rule, None, goals) for rule, goals in splits.values()]
             else:

@@ -101,6 +101,7 @@ class Grammar:
         self._tok_by_text = {t.text: t for t in self.vocabulary}
         self._rules_by_lhs = {nt.id: [] for nt in self.nonterminals}
         self._rule_by_name = {}
+        self._candidates = {}
         for r in self.rules:
             self._rules_by_lhs[r.lhs.id].append(r)
             self._rule_by_name[r.name] = r
@@ -149,6 +150,49 @@ class Grammar:
         first use, so building a grammar does not pay for it."""
         steps = {**dict.fromkeys(OPENERS, 1), **dict.fromkeys(CLOSERS, -1)}
         return {t.id: steps[t.text] for t in self.vocabulary if t.text in steps}
+
+    @cached_property
+    def lookahead(self) -> dict:
+        """Rule id -> (FIRST, LAST): the token ids a string the rule derives
+        can start and end with. One fixpoint over the rules, built on first
+        use. Every rhs symbol derives a nonempty string, so a rule's FIRST
+        (LAST) is that of its first (last) rhs symbol alone."""
+        first = {nt.id: set() for nt in self.nonterminals}
+        last = {nt.id: set() for nt in self.nonterminals}
+
+        def of(sets, sym):
+            return sets[sym.id] if isinstance(sym, Nonterminal) else {sym.id}
+
+        changed = True
+        while changed:
+            changed = False
+            for r in self.rules:
+                for sets, sym in ((first, r.rhs[0]), (last, r.rhs[-1])):
+                    new = of(sets, sym) - sets[r.lhs.id]
+                    if new:
+                        sets[r.lhs.id] |= new
+                        changed = True
+        return {
+            r.id: (frozenset(of(first, r.rhs[0])), frozenset(of(last, r.rhs[-1])))
+            for r in self.rules
+        }
+
+    def candidates(self, nt: Nonterminal, first: int, last: int) -> tuple:
+        """The rules of nt that can derive a span starting with token id
+        first and ending with token id last (its FIRST and LAST sets hold
+        them), each as (rule, rule.rhs_nonterminals()), in rule-id order.
+        Each (nt, first, last) is worked out on first use and kept; an
+        unknown nt raises GrammarError."""
+        key = (nt, first, last)
+        found = self._candidates.get(key)
+        if found is None:
+            lookahead = self.lookahead
+            found = self._candidates[key] = tuple(
+                (r, r.rhs_nonterminals())
+                for r in self.rules_for(nt)
+                if first in lookahead[r.id][0] and last in lookahead[r.id][1]
+            )
+        return found
 
     # -- fingerprints ------------------------------------------------------
 

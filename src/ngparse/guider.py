@@ -69,12 +69,14 @@ class GuiderModel:
     """The guider's tensors by name (the names save_model writes), plus the
     encoder's packed gate layout.
 
-    On construction the nine gate tensors are packed side by side, columns
-    (z | r | h), into W [d_emb, 3*d_h], U [d_h, 3*d_h] and b [3*d_h], and
-    the model keeps its own copy of the params dict whose gate entries are
-    column views of those arrays. Update them in place (p -= ...,
-    p[...] = ...), as adam_step does: the encoder reads W, U and b, so a
-    gate entry rebound to a new array would no longer reach it.
+    On construction the nine gate tensors are packed into four contiguous
+    blocks: W [d_emb, 3*d_h] and b [3*d_h] with columns (z | r | h), and
+    the recurrent weights as U_zr [d_h, 2*d_h] (columns z | r) and U_h
+    [d_h, d_h], the two products a step makes. The model keeps its own copy
+    of the params dict whose gate entries are views of those blocks
+    (params["U_h"] is the U_h block itself). Update them in place
+    (p -= ..., p[...] = ...), as adam_step does: the encoder reads the
+    blocks, so a gate entry rebound to a new array would no longer reach it.
     """
 
     params: dict
@@ -83,18 +85,14 @@ class GuiderModel:
     vocab_fingerprint: int
     rule_fingerprint: int
     W: np.ndarray = field(init=False, repr=False, compare=False)
-    U: np.ndarray = field(init=False, repr=False, compare=False)
+    U_zr: np.ndarray = field(init=False, repr=False, compare=False)
+    U_h: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = dict(self.params)
-        self.W, self.U, self.b = _pack(self.params)
-        d = self.b.shape[0] // 3
-        for k, gate in enumerate("zrh"):
-            cols = slice(k * d, (k + 1) * d)
-            self.params[f"W_{gate}"] = self.W[:, cols]
-            self.params[f"U_{gate}"] = self.U[:, cols]
-            self.params[f"b_{gate}"] = self.b[cols]
+        self.W, self.U_zr, self.U_h, self.b = _pack(self.params)
+        self.params.update(_gate_views(self.W, self.U_zr, self.U_h, self.b))
 
     def check_grammar(self, g: Grammar) -> None:
         if (
@@ -137,11 +135,23 @@ def _sigmoid_inplace(x):
 
 
 def _pack(params: dict):
-    """(W, U, b): the gate tensors side by side, columns (z | r | h)."""
+    """(W, U_zr, U_h, b): new contiguous blocks of the gate tensors, side by
+    side in the order of the gates named."""
     return tuple(
-        np.concatenate([params[f"{kind}_{gate}"] for gate in "zrh"], axis=-1)
-        for kind in "WUb"
+        np.concatenate([params[f"{kind}_{gate}"] for gate in gates], axis=-1)
+        for kind, gates in (("W", "zrh"), ("U", "zr"), ("U", "h"), ("b", "zrh"))
     )
+
+
+def _gate_views(W, U_zr, U_h, b):
+    """The gate entries, by their params names, as views of the blocks."""
+    d = U_h.shape[-1]
+    views = {"U_z": U_zr[:, :d], "U_r": U_zr[:, d:], "U_h": U_h}
+    for k, gate in enumerate("zrh"):
+        cols = slice(k * d, (k + 1) * d)
+        views[f"W_{gate}"] = W[:, cols]
+        views[f"b_{gate}"] = b[cols]
+    return views
 
 
 def gru_cell(params: dict, x, h):
@@ -153,30 +163,35 @@ def gru_cell(params: dict, x, h):
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
         raise GuiderError("non-finite input to recurrent cell")
-    W, U, b = _pack(params)
-    return _gru_step(U, b, x @ W, h)[0]
+    W, U_zr, U_h, b = _pack(params)
+    return _gru_step(U_zr, U_h, b, x @ W, h)[0]
 
 
-def _gru_step(U, b, xw, h):
+def _gru_step(U_zr, U_h, b, xw, h):
     """The cell's equations on the packed layout, without input checks.
 
     xw is the input's product x @ W with all three gates, columns
-    (z | r | h); z and r share one matmul with U. The sums are associated
-    as (x @ W_g + h @ U_g) + b_g, the order of one matmul per gate, so the
-    packed layout changes no bit of the result. Returns (new state, z, r,
-    cand), the gate values being what backprop needs.
+    (z | r | h); z and r share one matmul with U_zr, the candidate makes
+    one with U_h. The sums are associated as (x @ W_g + h @ U_g) + b_g,
+    the order of one matmul per gate, so the packed layout changes no bit
+    of the result. Returns (new state, z, r, cand), the gate values being
+    what backprop needs.
     """
     d = h.shape[-1]
-    zr = h @ U[:, : 2 * d]
+    zr = h @ U_zr
     zr += xw[..., : 2 * d]
     zr += b[: 2 * d]
     _sigmoid_inplace(zr)
     z, r = zr[..., :d], zr[..., d:]
-    cand = (r * h) @ U[:, 2 * d :]
+    cand = (r * h) @ U_h
     cand += xw[..., 2 * d :]
     cand += b[2 * d :]
     np.tanh(cand, out=cand)
-    return (1.0 - z) * h + z * cand, z, r, cand
+    # (1 - z) * h + z * cand, each operation as written, in place
+    new = np.subtract(1.0, z)
+    new *= h
+    new += z * cand
+    return new, z, r, cand
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +222,13 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
     B, T = len(seqs), int(lengths[order[0]])
     # active[t] = number of sequences longer than t, the rows of step t
     active = B - np.cumsum(np.bincount(lengths, minlength=T + 1))[:T]
-    final = np.empty((B, m.U.shape[0]), dtype=emb.dtype)
+    final = np.empty((B, m.U_h.shape[0]), dtype=emb.dtype)
     h = np.zeros_like(final)
     steps = []
     for t, n in enumerate(active.tolist()):
         ids = [s[t] for s in ordered[:n]]
         h_prev = h[:n]
-        h, z, r, cand = _gru_step(m.U, m.b, emb[ids] @ m.W, h_prev)
+        h, z, r, cand = _gru_step(m.U_zr, m.U_h, m.b, emb[ids] @ m.W, h_prev)
         # sequences of length t + 1 end here: rows [active[t + 1], n)
         done = int(active[t + 1]) if t + 1 < T else 0
         final[order[done:n]] = h[done:n]
@@ -229,16 +244,15 @@ def _backward_encoder(m: GuiderModel, cache, dh):
     _forward.
 
     Each step writes the pre-activation gradients of its rows into one
-    block of D [sum of lengths, 3*d_h], columns (z | r | h) as in W, U
-    and b; the weight, bias and embedding gradients are then one product
-    each over all steps. The gate entries of the returned dict are column
-    views of the packed gradients, named as in GuiderModel.params.
+    block of D [sum of lengths, 3*d_h], columns (z | r | h) as in W and
+    b; the weight, bias and embedding gradients are then one product each
+    over all steps. The gate entries of the returned dict are views of the
+    gradient blocks, named and laid out as in GuiderModel.params.
     """
     order, active, steps = cache
-    d = m.U.shape[0]
+    d = m.U_h.shape[0]
     offsets = np.concatenate(([0], np.cumsum(active))).tolist()
     D = np.empty((offsets[-1], 3 * d), dtype=dh.dtype)
-    U_zr, U_h = m.U[:, : 2 * d], m.U[:, 2 * d :]
     # gradient at the state each row holds after the step in progress; a
     # row that ends at step t starts with its final-state gradient
     grad = dh[order]
@@ -250,32 +264,22 @@ def _backward_encoder(m: GuiderModel, cache, dh):
         dz_pre, dr_pre, dcand_pre = pre[:, :d], pre[:, d : 2 * d], pre[:, 2 * d :]
 
         np.multiply(dnew * z, 1.0 - cand * cand, out=dcand_pre)
-        drh = dcand_pre @ U_h.T
+        drh = dcand_pre @ m.U_h.T
         np.multiply(dnew * (cand - h_prev) * z, 1.0 - z, out=dz_pre)
         np.multiply(drh * h_prev * r, 1.0 - r, out=dr_pre)
         dh_prev = dnew * (1.0 - z)
         dh_prev += drh * r
-        dh_prev += pre[:, : 2 * d] @ U_zr.T
+        dh_prev += pre[:, : 2 * d] @ m.U_zr.T
         grad[: hi - lo] = dh_prev
 
     ids = [tid for step in steps for tid in step[0]]
     X = m.params["embedding"][ids]
-    dW = X.T @ D
-    dU = np.empty_like(m.U)
     H = np.concatenate([h_prev for _, h_prev, _, _, _ in steps])
     RH = np.concatenate([r * h_prev for _, h_prev, _, r, _ in steps])
-    dU[:, : 2 * d] = H.T @ D[:, : 2 * d]
-    dU[:, 2 * d :] = RH.T @ D[:, 2 * d :]
-    db = D.sum(axis=0)
     d_emb = np.zeros_like(m.params["embedding"])
     np.add.at(d_emb, ids, D @ m.W.T)
-    grads = {"embedding": d_emb}
-    for k, gate in enumerate("zrh"):
-        cols = slice(k * d, (k + 1) * d)
-        grads[f"W_{gate}"] = dW[:, cols]
-        grads[f"U_{gate}"] = dU[:, cols]
-        grads[f"b_{gate}"] = db[cols]
-    return grads
+    dU_zr, dU_h = H.T @ D[:, : 2 * d], RH.T @ D[:, 2 * d :]
+    return {"embedding": d_emb, **_gate_views(X.T @ D, dU_zr, dU_h, D.sum(axis=0))}
 
 
 def _rule_masks(g: Grammar) -> np.ndarray:
@@ -302,7 +306,7 @@ def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarra
         raise GuiderError("empty token sequence")
     node = {} if states is None else states
     proj = node.setdefault("proj", {})
-    h = np.zeros((1, m.U.shape[0]), dtype=emb.dtype)
+    h = np.zeros((1, m.U_h.shape[0]), dtype=emb.dtype)
     for tid in tokens:
         entry = node.get(tid)
         if entry is None:
@@ -311,7 +315,7 @@ def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarra
                 if not 0 <= tid < emb.shape[0]:
                     raise GuiderError(f"unknown token id {tid}")
                 xw = proj[tid] = emb[[tid]] @ m.W
-            entry = node[tid] = (_gru_step(m.U, m.b, xw, h)[0], {})
+            entry = node[tid] = (_gru_step(m.U_zr, m.U_h, m.b, xw, h)[0], {})
         h, node = entry
     return h[0]
 

@@ -1,4 +1,6 @@
 import os
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import ngparse
-from ngparse.grammar import build_grammar
+from ngparse.grammar import Nonterminal, build_grammar
 from ngparse.guider import TrainConfig, init_model, save_model, train
 from ngparse.sampler import curriculum_schedule
 
@@ -41,6 +43,38 @@ def save_with_tensors(path, m, **tensors):
         ),
         path,
     )
+
+
+def enumerated_trees(g, max_depth, max_length):
+    """Exhaustive walk over every tree of depth <= max_depth and yield
+    length <= max_length rooted at each nonterminal: per nonterminal id, a
+    Counter from (depth, length, first token id, last token id) to the
+    number of such trees. Each rule combines its rhs symbols left to
+    right, so trees with equal summaries are counted together, not
+    listed one by one."""
+
+    @lru_cache(maxsize=None)
+    def trees(nt, d):
+        out = Counter()
+        if d < 1:
+            return out
+        for r in g.rules_for(nt):
+            partial = Counter({(1, 0, None, None): 1})
+            for sym in r.rhs:
+                if isinstance(sym, Nonterminal):
+                    kids = [((kd + 1, *rest), n) for (kd, *rest), n in trees(sym, d - 1).items()]
+                else:
+                    kids = [((1, 1, sym.id, sym.id), 1)]
+                longer = Counter()
+                for (pd, pl, pf, _), pn in partial.items():
+                    for (kd, kl, kf, kz), kn in kids:
+                        if pl + kl <= max_length:
+                            longer[(max(pd, kd), pl + kl, kf if pf is None else pf, kz)] += pn * kn
+                partial = longer
+            out.update(partial)
+        return out
+
+    return {nt.id: trees(nt, max_depth) for nt in g.nonterminals}
 
 
 @pytest.fixture(scope="session")

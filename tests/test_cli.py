@@ -104,7 +104,9 @@ def test_infer_fault_during_parse_exits_two(g, small_model_path, monkeypatch, ca
         raise ValueError("matmul: mismatch")
 
     monkeypatch.setattr(engine, "predict_rule_distribution", broken)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 ;\nv0 v0 ;\n"))
+    # "1 + 2" splits as an AExpr by two rules (E1, E3), so the first line
+    # asks the model; every other span of it has one lookahead candidate.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 + 2 ;\nv0 v0 ;\n"))
     assert cli.main(["infer", "--model", str(small_model_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: matmul: mismatch\n"

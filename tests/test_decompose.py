@@ -5,6 +5,7 @@ import pytest
 
 from ngparse.decompose import DecompositionFailure, decompose
 from ngparse.grammar import CLOSERS, OPENERS, Nonterminal, Token
+from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.tree import pretty_print
 
@@ -157,6 +158,33 @@ def test_decompose_fuzz_outcomes_are_pinned(g):
             h.update(f"{span} {rule.id} {out}\n".encode())
     assert splits > 500
     assert h.hexdigest() == PINNED_DECOMPOSE_SHA256
+
+
+def test_lookahead_drops_only_rules_that_cannot_derive_the_span(g):
+    """A rule the candidate index leaves out for a span either fails to
+    decompose it or has a component its nonterminal does not derive."""
+    dropped_splits = 0
+    for span in _fuzz_spans(g, 3000, seed=5):
+        if not span:
+            continue
+        for nt in g.nonterminals:
+            kept = {r.id for r, _ in g.candidates(nt, span[0], span[-1])}
+            for rule in g.rules_for(nt):
+                if rule.id in kept:
+                    continue
+                try:
+                    comps = decompose(g, span, rule)
+                except DecompositionFailure:
+                    continue
+                dropped_splits += 1
+                rejected = 0
+                for comp, knt in zip(comps, rule.rhs_nonterminals()):
+                    try:
+                        reference_parse(g, comp, knt)
+                    except ParseError:
+                        rejected += 1
+                assert rejected, (span, rule.name)
+    assert dropped_splits > 1000
 
 
 def test_unknown_token_ids_split_or_fail_typed(g):

@@ -1,10 +1,11 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURE_MODEL
-from ngparse import guider
+from ngparse import engine, guider
 from ngparse.decompose import DecompositionFailure, decompose
 from ngparse.engine import (
     DepthLimitExceeded,
@@ -16,7 +17,7 @@ from ngparse.engine import (
     oracle_selector,
 )
 from ngparse.guider import predict_rule_distribution
-from ngparse.sampler import SampleBucket, sample_corpus
+from ngparse.sampler import SampleBucket, derive_seed, sample_corpus
 from ngparse.tree import pretty_print, serialize
 
 
@@ -163,26 +164,33 @@ def test_shared_states_do_not_change_trees(g, small_trained, mode):
         assert infer(g, tokens, shared, cfg) == expect
 
 
-# sha256 of the trees and error kinds below, computed with the unfused
-# encoder (one matmul per gate). A change to the encoder's arithmetic that
-# flips any of these 540 parses changes it.
-PINNED_TREES_SHA256 = "a5a57fe023c22728ff0ef95f03bfec934aa4314bf0f41273ada7967f7d49972d"
+# sha256 of the trees and error kinds below, one digest per mode, computed
+# with the unfused encoder (one matmul per gate). A change to the encoder's
+# arithmetic that flips any of these 540 parses changes one of them.
+PINNED_TREES_SHA256 = {
+    "greedy": "ae5fe127723d4a8e7c4ccdfd6995d4e19131de5245128f83baa92dcccec7a8e9",
+    "fallback": "fa26601cf9c6b1b2f968d22d274a468140cb310d49ffcb32a20e8b1195382f2e",
+    "beam": "f92e3655535cadbf9ff4147f5f32f781148336b1233dfeecf5a222b23a99c8b2",
+}
 
 
 def test_fixture_model_trees_are_pinned(g):
     selector = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
-    lines = []
+    lines = {mode: [] for mode in PINNED_TREES_SHA256}
     for bucket in [(30, 30, 11, 11), (8, 15, 1, 9), (16, 24, 5, 10)]:
         corpus = sample_corpus(g, SampleBucket(*bucket, seed=41), 60)
-        for mode in ("greedy", "fallback", "beam"):
+        for mode in lines:
             for tokens, _ in corpus:
                 try:
                     out = serialize(g, infer(g, tokens, selector, InferConfig(mode=mode)))
                 except InferenceError as exc:
                     out = f"ERROR {exc.kind}"
-                lines.append(f"{bucket} {mode} {out}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PINNED_TREES_SHA256
+                lines[mode].append(f"{bucket} {mode} {out}")
+    digests = {
+        mode: hashlib.sha256("\n".join(out).encode()).hexdigest()
+        for mode, out in lines.items()
+    }
+    assert digests == PINNED_TREES_SHA256
 
 
 def _splitting_rules(g, tokens, nt):
@@ -198,7 +206,8 @@ def _splitting_rules(g, tokens, nt):
 
 # Selector calls of fallback on the (30, 30, 11, 11) bucket of the pinned
 # corpus when infer asked about every (span, nt) it visited, before it
-# decomposed first. Asking only where a choice remains makes 1242.
+# decomposed first. Asking only where a choice remains made 1242, and 632
+# since it counts lookahead candidates (see PINNED_WORK_COUNTS).
 FALLBACK_CALLS_ASKING_EVERY_VISIT = 2808
 
 
@@ -226,6 +235,47 @@ def test_selector_is_asked_only_when_a_choice_remains(g):
                 calls += len(asked)
             if bucket == (30, 30, 11, 11) and mode == "fallback":
                 assert calls < FALLBACK_CALLS_ASKING_EVERY_VISIT
+
+
+# (selector asks, decompose calls) per bucket and mode on the pinned
+# corpus. Before the FIRST/LAST candidate index, when every rule of nt was
+# decomposed, they were:
+#   (30, 30, 11, 11): greedy (257, 885), fallback (1242, 11023), beam (4000, 23184)
+#   (8, 15, 1, 9):    greedy (1072, 4050), fallback (339, 4281), beam (1378, 7923)
+#   (16, 24, 5, 10):  greedy (948, 3617), fallback (647, 6868), beam (2443, 14272)
+PINNED_WORK_COUNTS = {
+    (30, 30, 11, 11): {"greedy": (256, 451), "fallback": (632, 4554), "beam": (3831, 6503)},
+    (8, 15, 1, 9): {"greedy": (1072, 1771), "fallback": (113, 1838), "beam": (1298, 2140)},
+    (16, 24, 5, 10): {"greedy": (948, 1587), "fallback": (288, 2934), "beam": (2302, 3834)},
+}
+
+
+def test_work_counts_are_pinned(g, monkeypatch):
+    select = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    counts = [0, 0]
+
+    def counting_select(toks, nt, states):
+        counts[0] += 1
+        return select(toks, nt, states)
+
+    def counting_decompose(*args):
+        counts[1] += 1
+        return decompose(*args)
+
+    monkeypatch.setattr(engine, "decompose", counting_decompose)
+    found = {}
+    for bucket in PINNED_WORK_COUNTS:
+        corpus = sample_corpus(g, SampleBucket(*bucket, seed=41), 60)
+        found[bucket] = {}
+        for mode in ("greedy", "fallback", "beam"):
+            counts[:] = [0, 0]
+            for tokens, _ in corpus:
+                try:
+                    infer(g, tokens, counting_select, InferConfig(mode=mode))
+                except InferenceError:
+                    pass
+            found[bucket][mode] = tuple(counts)
+    assert found == PINNED_WORK_COUNTS
 
 
 def test_fallback_takes_a_lone_splitting_rule_the_selector_rules_out(g):
@@ -278,3 +328,22 @@ def test_unknown_token_ids_are_unparseable_before_any_work(g, tiny_model, mode, 
         with pytest.raises(Unparseable, match=f"token id {span[pos]} at position {pos}"):
             infer(g, span, selector, InferConfig(mode=mode))
     assert calls == []
+
+
+def test_beam_parses_the_benchmark_pool_that_exhausted_it(g):
+    # The beam-short pool of the benchmark's seed 133, drawn as it draws
+    # it. Program 63 once ended in "beam exhausted": rules that split its
+    # spans but whose components cannot parse took the beam's slots.
+    rng = np.random.default_rng(derive_seed("perfbench", "beam-short", 133))
+    pool = sample_corpus(g, SampleBucket(8, 15, 1, 9), 500, rng)
+    selector = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    cfg = InferConfig(mode="beam", beam_width=4)
+    wrong = []
+    for i, (tokens, truth) in enumerate(pool):
+        try:
+            if infer(g, tokens, selector, cfg) == truth:
+                continue
+        except InferenceError:
+            pass
+        wrong.append(i)
+    assert wrong == []

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import enumerated_trees
 from ngparse.grammar import (
     Grammar,
     GrammarError,
@@ -100,3 +101,29 @@ def test_encode_decode(g):
     assert g.decode(g.encode(text)) == text
     with pytest.raises(GrammarError):
         g.encode("v0 := 1")
+
+
+def test_lookahead_sets_are_the_first_and_last_tokens_of_every_tree(g):
+    # Depth 8 and length 16 reach every token a tree can start or end
+    # with; the smallest statement starting with "if" is that large.
+    enumerated = enumerated_trees(g, 8, 16)
+    for nt in g.nonterminals:
+        rules = g.rules_for(nt)
+        first = set().union(*(g.lookahead[r.id][0] for r in rules))
+        last = set().union(*(g.lookahead[r.id][1] for r in rules))
+        assert first == {f for _, _, f, _ in enumerated[nt.id]}, nt.name
+        assert last == {z for _, _, _, z in enumerated[nt.id]}, nt.name
+
+
+def test_candidates_filter_by_lookahead(g):
+    stmt, var = g.nonterminal("Stmt"), g.nonterminal("Var")
+    v0, v1, semi = g.token("v0").id, g.token("v1").id, g.token(";").id
+    assert [r.name for r, _ in g.candidates(stmt, v0, semi)] == ["S1", "S2"]
+    assert g.candidates(stmt, semi, semi) == ()
+    assert [r.name for r, _ in g.candidates(var, v1, v1)] == ["V2"]
+    assert g.candidates(var, v0, v1) == ()
+    for r, kids in g.candidates(stmt, v0, semi):
+        assert kids == r.rhs_nonterminals()
+    for bogus in (Nonterminal(99, "Bogus"), Nonterminal(stmt.id, "Bogus")):
+        with pytest.raises(GrammarError):
+            g.candidates(bogus, v0, semi)

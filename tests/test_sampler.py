@@ -1,10 +1,10 @@
 import hashlib
 from collections import Counter
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from conftest import enumerated_trees
 from ngparse import sampler
 from ngparse.grammar import build_grammar
 from ngparse.parser import reference_parse
@@ -169,28 +169,14 @@ def test_equal_grammars_share_one_count_table():
 
 
 def _enumerated_counts(g, max_depth, max_length):
-    """Brute force: one (depth, length) entry per tree rooted at each
-    nonterminal, for every tree of depth <= max_depth and yield length <=
-    max_length, counted by cell."""
-
-    @lru_cache(maxsize=None)
-    def trees(nt, d):
-        if d < 1:
-            return ()
-        out = []
-        for r in g.rules_for(nt):
-            partial = [(1, r.rhs_terminal_count())]
-            for kid in r.rhs_nonterminals():
-                partial = [
-                    (max(pd, kd + 1), pl + kl)
-                    for pd, pl in partial
-                    for kd, kl in trees(kid, d - 1)
-                    if pl + kl <= max_length
-                ]
-            out += [(pd, pl) for pd, pl in partial if pl <= max_length]
-        return tuple(out)
-
-    return {nt.id: Counter(trees(nt, max_depth)) for nt in g.nonterminals}
+    """Per nonterminal id, the number of trees of depth <= max_depth and
+    yield length <= max_length in each (depth, length) cell."""
+    counts = {}
+    for nt_id, summaries in enumerated_trees(g, max_depth, max_length).items():
+        counts[nt_id] = Counter()
+        for (d, l, _, _), n in summaries.items():
+            counts[nt_id][(d, l)] += n
+    return counts
 
 
 def test_count_table_matches_tree_enumeration(g):
