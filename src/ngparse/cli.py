@@ -41,7 +41,17 @@ def _parse_bucket(text: str, seed: int) -> sampler.SampleBucket:
         raise _UsageError(
             f"--bucket expects min_len:max_len:min_depth:max_depth integers, got {text!r}"
         ) from None
-    return sampler.SampleBucket(a, b, c, d, seed=seed)
+    try:
+        return sampler.SampleBucket(a, b, c, d, seed=seed)
+    except ValueError as exc:
+        raise _UsageError(f"--bucket {text!r}: {exc}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_range(text: str, flag: str) -> list:
@@ -91,7 +101,7 @@ def _build_argparser() -> _Parser:
 
     gen = sub.add_parser("gen", help="emit a corpus and/or training pairs")
     gen.add_argument("--bucket", required=True, help="min_len:max_len:min_depth:max_depth")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="corpus file path")
     gen.add_argument("--pairs", help="also write extracted training pairs here")
@@ -113,7 +123,7 @@ def _build_argparser() -> _Parser:
     inf = sub.add_parser("infer", help="guided inference, token strings on stdin")
     inf.add_argument("--model", required=True)
     inf.add_argument("--mode", choices=MODES, default="fallback")
-    inf.add_argument("--beam-width", type=int, default=4)
+    inf.add_argument("--beam-width", type=_positive_int, default=4)
 
     se = sub.add_parser("search", help="IDDFS baseline, token strings on stdin")
     se.add_argument("--max-depth", type=int, default=24)
@@ -124,7 +134,7 @@ def _build_argparser() -> _Parser:
     ev.add_argument("--methods", default="ngsi", help="comma list: ngsi,greedy,beam,search,oracle")
     ev.add_argument("--depths", default="6..11")
     ev.add_argument("--lengths", default="15..30")
-    ev.add_argument("--per-cell", type=int, default=100)
+    ev.add_argument("--per-cell", type=_positive_int, default=100)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True)
     ev.add_argument("--search-max-depth", type=int, default=24)

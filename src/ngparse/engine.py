@@ -145,12 +145,12 @@ def infer(
         proposals = memo.get(key)
         if proposals is None:
             splits = {}
-            for rule, kids in g.candidates(goal, toks[0], toks[-1]):
+            for rule in g.candidates(goal, toks[0], toks[-1]):
                 try:
                     components = decompose(g, toks, rule)
                 except DecompositionFailure:
                     continue
-                splits[rule.id] = rule, tuple(zip(components, kids))
+                splits[rule.id] = rule, tuple(zip(components, rule.rhs_nonterminals()))
             if len(splits) < ask_from:
                 proposals = [(rule, None, goals) for rule, goals in splits.values()]
             else:

@@ -10,7 +10,7 @@ counter, which is what makes hand-coded decomposition possible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 __all__ = [
@@ -21,9 +21,10 @@ __all__ = [
     "GrammarError",
     "build_grammar",
     "validate_grammar",
-    "min_subtree_depths",
-    "min_yield_lengths",
 ]
+
+# Minimum depth or length of a nonterminal that derives no terminal string.
+INF = 10**9
 
 
 class GrammarError(Exception):
@@ -51,11 +52,19 @@ class ProductionRule:
     lhs: Nonterminal
     rhs: tuple
 
+    # rhs_nonterminals(), made on its first call, so building a grammar
+    # stays cheap; a declared field, unlike a cached_property, keeps
+    # attribute reads such as rule.rhs on the fast path.
+    _kids: tuple = field(default=None, init=False, repr=False, compare=False)
+
     def rhs_nonterminals(self) -> tuple:
-        return tuple(s for s in self.rhs if isinstance(s, Nonterminal))
+        if self._kids is None:
+            kids = tuple(s for s in self.rhs if isinstance(s, Nonterminal))
+            object.__setattr__(self, "_kids", kids)
+        return self._kids
 
     def rhs_terminal_count(self) -> int:
-        return sum(1 for s in self.rhs if isinstance(s, Token))
+        return len(self.rhs) - len(self.rhs_nonterminals())
 
 
 # (rule name, lhs name, rhs symbols); uppercase-initial entries are
@@ -99,20 +108,22 @@ class Grammar:
         self.start = start
         self._nt_by_name = {nt.name: nt for nt in self.nonterminals}
         self._tok_by_text = {t.text: t for t in self.vocabulary}
-        self._rules_by_lhs = {nt.id: [] for nt in self.nonterminals}
         self._rule_by_name = {}
         self._candidates = {}
+        by_lhs = [[] for _ in self.nonterminals]
         for r in self.rules:
-            self._rules_by_lhs[r.lhs.id].append(r)
+            by_lhs[r.lhs.id].append(r)
             self._rule_by_name[r.name] = r
+        # Nonterminal id -> its rules, in rule-id order.
+        self.rules_by_lhs = tuple(map(tuple, by_lhs))
 
     # -- lookups -----------------------------------------------------------
 
     def rules_for(self, nt: Nonterminal) -> tuple:
         """All rules with the given lhs, in rule-id order."""
-        if nt.id not in self._rules_by_lhs or self.nonterminals[nt.id] != nt:
+        if not 0 <= nt.id < len(self.nonterminals) or self.nonterminals[nt.id] != nt:
             raise GrammarError(f"unknown nonterminal: {nt!r}")
-        return tuple(self._rules_by_lhs[nt.id])
+        return self.rules_by_lhs[nt.id]
 
     def rule_by_id(self, rule_id: int) -> ProductionRule:
         if not 0 <= rule_id < len(self.rules):
@@ -152,6 +163,37 @@ class Grammar:
         return {t.id: steps[t.text] for t in self.vocabulary if t.text in steps}
 
     @cached_property
+    def min_depths(self) -> tuple:
+        """Nonterminal id -> the least depth of a tree it roots, INF if it
+        derives no terminal string. One fixpoint, built on first use."""
+        return self._least(
+            lambda r, best: 1 + max((best[k.id] for k in r.rhs_nonterminals()), default=0)
+        )
+
+    @cached_property
+    def min_lengths(self) -> tuple:
+        """Nonterminal id -> the least yield length of a tree it roots, INF
+        if it derives no terminal string. One fixpoint, built on first use."""
+        return self._least(
+            lambda r, best: r.rhs_terminal_count()
+            + sum(best[k.id] for k in r.rhs_nonterminals())
+        )
+
+    def _least(self, cost) -> tuple:
+        """Least fixpoint of best[lhs] = min over its rules of cost(rule,
+        best); a cost over an INF entry is at least INF, so it never wins."""
+        best = [INF] * len(self.nonterminals)
+        changed = True
+        while changed:
+            changed = False
+            for r in self.rules:
+                c = cost(r, best)
+                if c < best[r.lhs.id]:
+                    best[r.lhs.id] = c
+                    changed = True
+        return tuple(best)
+
+    @cached_property
     def lookahead(self) -> dict:
         """Rule id -> (FIRST, LAST): the token ids a string the rule derives
         can start and end with. One fixpoint over the rules, built on first
@@ -180,16 +222,14 @@ class Grammar:
     def candidates(self, nt: Nonterminal, first: int, last: int) -> tuple:
         """The rules of nt that can derive a span starting with token id
         first and ending with token id last (its FIRST and LAST sets hold
-        them), each as (rule, rule.rhs_nonterminals()), in rule-id order.
-        Each (nt, first, last) is worked out on first use and kept; an
-        unknown nt raises GrammarError."""
+        them), in rule-id order. Each (nt, first, last) is worked out on
+        first use and kept; an unknown nt raises GrammarError."""
         key = (nt, first, last)
         found = self._candidates.get(key)
         if found is None:
             lookahead = self.lookahead
             found = self._candidates[key] = tuple(
-                (r, r.rhs_nonterminals())
-                for r in self.rules_for(nt)
+                r for r in self.rules_for(nt)
                 if first in lookahead[r.id][0] and last in lookahead[r.id][1]
             )
         return found
@@ -244,33 +284,18 @@ def validate_grammar(g: Grammar) -> list:
     nonterminal derives some terminal string), and duplicate right-hand
     sides under the same lhs. Defects are data, not exceptions.
     """
-    defects = []
-
-    by_lhs = {nt.id: [] for nt in g.nonterminals}
-    for r in g.rules:
-        by_lhs[r.lhs.id].append(r)
-
-    # productivity: least fixpoint
-    productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            if r.lhs.id in productive:
-                continue
-            if all(nt.id in productive for nt in r.rhs_nonterminals()):
-                productive.add(r.lhs.id)
-                changed = True
-    for nt in g.nonterminals:
-        if nt.id not in productive:
-            defects.append(f"nonproductive: {nt.name}")
+    defects = [
+        f"nonproductive: {nt.name}"
+        for nt, length in zip(g.nonterminals, g.min_lengths)
+        if length == INF
+    ]
 
     # reachability from start
     reachable = {g.start.id}
     frontier = [g.start.id]
     while frontier:
         nid = frontier.pop()
-        for r in by_lhs.get(nid, ()):
+        for r in g.rules_by_lhs[nid]:
             for child in r.rhs_nonterminals():
                 if child.id not in reachable:
                     reachable.add(child.id)
@@ -280,52 +305,11 @@ def validate_grammar(g: Grammar) -> list:
             defects.append(f"unreachable: {nt.name}")
 
     # duplicate rhs under one lhs
-    for nt in g.nonterminals:
+    for nt, rules in zip(g.nonterminals, g.rules_by_lhs):
         seen = {}
-        for r in by_lhs[nt.id]:
-            key = tuple(
-                ("N", s.id) if isinstance(s, Nonterminal) else ("T", s.id)
-                for s in r.rhs
-            )
-            if key in seen:
-                defects.append(f"duplicate: {seen[key]} and {r.name} under {nt.name}")
+        for r in rules:
+            if r.rhs in seen:
+                defects.append(f"duplicate: {seen[r.rhs]} and {r.name} under {nt.name}")
             else:
-                seen[key] = r.name
+                seen[r.rhs] = r.name
     return defects
-
-
-def min_subtree_depths(g: Grammar) -> dict:
-    """Minimum achievable tree depth per nonterminal id (fixpoint)."""
-    INF = 10**9
-    depth = {nt.id: INF for nt in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            kids = r.rhs_nonterminals()
-            d = 1 + max((depth[k.id] for k in kids), default=0)
-            if d < depth[r.lhs.id]:
-                depth[r.lhs.id] = d
-                changed = True
-    return depth
-
-
-def min_yield_lengths(g: Grammar) -> dict:
-    """Minimum achievable yield length per nonterminal id (fixpoint)."""
-    INF = 10**9
-    length = {nt.id: INF for nt in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            total = r.rhs_terminal_count()
-            ok = True
-            for k in r.rhs_nonterminals():
-                if length[k.id] >= INF:
-                    ok = False
-                    break
-                total += length[k.id]
-            if ok and total < length[r.lhs.id]:
-                length[r.lhs.id] = total
-                changed = True
-    return length

@@ -573,7 +573,8 @@ def _check_shapes(params: dict, V: int, R: int) -> None:
 def load_model(path, g: Grammar) -> GuiderModel:
     """Read a save_model file. Any malformed file raises GuiderError: no
     read asks for more bytes than the file has left, and every tensor must
-    have rank at most 2, finite values and its _SHAPES shape."""
+    be named in _SHAPES, appear once, and have rank at most 2, finite
+    values and its _SHAPES shape."""
     params = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -600,6 +601,10 @@ def load_model(path, g: Grammar) -> GuiderModel:
                 raise GuiderError(f"tensor {name} has rank {rank}, expected at most 2")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
             data = take(4 * math.prod(dims), f"tensor {name}")
+            if name not in _SHAPES:
+                raise GuiderError(f"unknown tensor {name!r}")
+            if name in params:
+                raise GuiderError(f"duplicate tensor {name}")
             params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
             if not np.isfinite(params[name]).all():
                 raise GuiderError(f"tensor {name} has non-finite values")

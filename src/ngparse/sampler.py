@@ -110,7 +110,6 @@ class _CountTable:
     """Tree counts by (depth bound, exact yield length), per nonterminal.
 
     leq[nt][d][l] : trees rooted at nt with depth <= d and yield length l.
-    rules[nt]     : nt's rules, in rule-id order.
     rule_counts and suffixes are memoised on first use; suffixes makes
     every convolution. Count arrays are indexed by yield length up to
     max_length and hold exact Python integers (they overflow floats
@@ -120,7 +119,7 @@ class _CountTable:
     def __init__(self, g: Grammar, max_depth: int, max_length: int):
         self.max_depth = max_depth
         self.max_length = max_length
-        self.rules = {nt.id: g.rules_for(nt) for nt in g.nonterminals}
+        self.rules_by_lhs = g.rules_by_lhs
         self._zeros = [0] * (max_length + 1)
         self._rule_counts = {}
         self._suffixes = {}
@@ -146,7 +145,7 @@ class _CountTable:
         if out is None:
             out = self._rule_counts[key] = [
                 self._total(self.suffixes(r, p)[1][0] for p in _plans(r, d, exact))
-                for r in self.rules[nt_id]
+                for r in self.rules_by_lhs[nt_id]
             ]
         return out
 
@@ -256,7 +255,7 @@ def _sample(tab: _CountTable, rng, nt_id: int, d: int, l: int, exact: bool) -> A
     (exact) or at most d. Draws a rule, then (exact only) a plan, then the
     children's lengths, each in proportion to the trees it leaves; the
     children follow the plan."""
-    rules = tab.rules[nt_id]
+    rules = tab.rules_by_lhs[nt_id]
     r = rules[_weighted_pick(rng, [c[l] for c in tab.rule_counts(nt_id, d, exact)])]
     kids = r.rhs_nonterminals()
     if not kids:

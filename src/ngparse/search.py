@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .grammar import Grammar, Token, min_subtree_depths, min_yield_lengths
+from .grammar import Grammar, Token
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -42,9 +42,7 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
     toks = tuple(tokens)
     if not toks:
         raise ValueError("empty input")
-    min_depth = min_subtree_depths(g)
-    min_len = min_yield_lengths(g)
-    rules_by_lhs = {nt.id: g.rules_for(nt) for nt in g.nonterminals}
+    min_depth, min_len, rules_by_lhs = g.min_depths, g.min_lengths, g.rules_by_lhs
     deadline = time.perf_counter() + cfg.time_limit_s
     start_time = time.perf_counter()
     expanded = 0
@@ -61,7 +59,6 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
         if expanded % 1024 == 0 and time.perf_counter() > deadline:
             raise _Timeout
         for rule in rules_by_lhs[nt_id]:
-            kids = rule.rhs_nonterminals()
             # remaining minimum length of rhs elements after each position
             suffix = [0] * (len(rule.rhs) + 1)
             for i in range(len(rule.rhs) - 1, -1, -1):

@@ -228,3 +228,22 @@ def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith(f"usage error: {flag} expects")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,prefix",
+    [
+        (["gen", "--bucket", "1:2:3:4", "--n", "1"], "--bucket '1:2:3:4': bad length range"),
+        (["gen", "--bucket", "5:15:1:9", "--n", "-1"], "argument --n: expected an integer >= 1"),
+        (["infer", "--model", "absent.bin", "--beam-width", "0"], "argument --beam-width:"),
+        (["eval", "--methods", "oracle", "--per-cell", "0"], "argument --per-cell:"),
+    ],
+    ids=["bucket-range", "negative-n", "zero-beam-width", "zero-per-cell"],
+)
+def test_out_of_range_value_is_a_usage_error(args, prefix, tmp_path):
+    out = tmp_path / "out"
+    res = run_cli(args + (["--out", str(out)] if args[0] != "infer" else []), "v0 = 1 ;\n")
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"usage error: {prefix}")
+    assert res.stdout == ""
+    assert not out.exists()

@@ -168,7 +168,7 @@ def test_lookahead_drops_only_rules_that_cannot_derive_the_span(g):
         if not span:
             continue
         for nt in g.nonterminals:
-            kept = {r.id for r, _ in g.candidates(nt, span[0], span[-1])}
+            kept = {r.id for r in g.candidates(nt, span[0], span[-1])}
             for rule in g.rules_for(nt):
                 if rule.id in kept:
                     continue

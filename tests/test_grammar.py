@@ -2,14 +2,13 @@ import pytest
 
 from conftest import enumerated_trees
 from ngparse.grammar import (
+    INF,
     Grammar,
     GrammarError,
     Nonterminal,
     ProductionRule,
     Token,
     build_grammar,
-    min_subtree_depths,
-    min_yield_lengths,
     validate_grammar,
 )
 
@@ -72,6 +71,18 @@ def test_nonproductive_defect(g):
     assert any("unreachable: Dead" in d for d in out)
 
 
+def test_self_recursive_nonterminal_is_nonproductive(g):
+    # Loop -> ( Loop ) never bottoms out, so Loop derives no terminal string.
+    loop = Nonterminal(len(g.nonterminals), "Loop")
+    lp, rp = g.token("("), g.token(")")
+    enter = ProductionRule(len(g.rules), "L0", g.start, (loop,))
+    spin = ProductionRule(len(g.rules) + 1, "L1", loop, (lp, loop, rp))
+    g2 = _make(g.nonterminals + (loop,), g.rules + (enter, spin), g.start)
+    assert validate_grammar(g2) == ["nonproductive: Loop"]
+    assert g2.min_lengths[loop.id] == g2.min_depths[loop.id] == INF
+    assert g2.min_lengths[g.start.id] == g.min_lengths[g.start.id]
+
+
 def test_duplicate_rhs_defect(g):
     e3 = g.rule_by_name("E3")
     dup = ProductionRule(len(g.rules), "E3b", e3.lhs, e3.rhs)
@@ -88,12 +99,20 @@ def test_fingerprints_change_with_table(g):
 
 
 def test_min_tables(g):
-    depths = min_subtree_depths(g)
-    lengths = min_yield_lengths(g)
+    depths, lengths = g.min_depths, g.min_lengths
     assert depths[g.start.id] == 6
     assert lengths[g.start.id] == 4
     assert lengths[g.nonterminal("Var").id] == 1
     assert depths[g.nonterminal("Const").id] == 1
+
+
+def test_min_tables_are_the_minima_of_every_tree(g):
+    # Depth 8 and length 16 hold a smallest tree of every nonterminal.
+    enumerated = enumerated_trees(g, 8, 16)
+    for nt in g.nonterminals:
+        summaries = enumerated[nt.id]
+        assert g.min_depths[nt.id] == min(d for d, _, _, _ in summaries), nt.name
+        assert g.min_lengths[nt.id] == min(l for _, l, _, _ in summaries), nt.name
 
 
 def test_encode_decode(g):
@@ -118,12 +137,10 @@ def test_lookahead_sets_are_the_first_and_last_tokens_of_every_tree(g):
 def test_candidates_filter_by_lookahead(g):
     stmt, var = g.nonterminal("Stmt"), g.nonterminal("Var")
     v0, v1, semi = g.token("v0").id, g.token("v1").id, g.token(";").id
-    assert [r.name for r, _ in g.candidates(stmt, v0, semi)] == ["S1", "S2"]
+    assert [r.name for r in g.candidates(stmt, v0, semi)] == ["S1", "S2"]
     assert g.candidates(stmt, semi, semi) == ()
-    assert [r.name for r, _ in g.candidates(var, v1, v1)] == ["V2"]
+    assert [r.name for r in g.candidates(var, v1, v1)] == ["V2"]
     assert g.candidates(var, v0, v1) == ()
-    for r, kids in g.candidates(stmt, v0, semi):
-        assert kids == r.rhs_nonterminals()
     for bogus in (Nonterminal(99, "Bogus"), Nonterminal(stmt.id, "Bogus")):
         with pytest.raises(GrammarError):
             g.candidates(bogus, v0, semi)

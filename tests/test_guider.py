@@ -585,6 +585,11 @@ def _model_file(m, *records):
     return guider._MAGIC + struct.pack("<QQ", m.rule_fingerprint, m.vocab_fingerprint) + b"".join(records)
 
 
+def _record(name):
+    """A raw record of a rank-0 tensor holding 0.0."""
+    return struct.pack("<I", len(name)) + name.encode() + struct.pack("<If", 0, 0.0)
+
+
 @pytest.mark.parametrize(
     "record,match",
     [
@@ -594,8 +599,10 @@ def _model_file(m, *records):
         (b"\x01\x00\x00\x00W\x02\x00\x00\x00" + b"\x00\x00\x00\x80" * 2, "truncated"),
         (b"\x02\x00\x00\x00\xff\xfe\x00\x00\x00\x00", "UTF-8"),
         (b"\xff\xff\xff\x7f", "truncated"),
+        (_record("junk"), "unknown tensor 'junk'"),
+        (_record("W_out") * 2, "duplicate tensor W_out"),
     ],
-    ids=["huge-rank", "huge-dims", "bad-name", "huge-name"],
+    ids=["huge-rank", "huge-dims", "bad-name", "huge-name", "unknown-name", "duplicate-name"],
 )
 def test_load_rejects_hostile_records(g, tiny_model, tmp_path, record, match):
     path = tmp_path / "m.bin"
