@@ -54,6 +54,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _config(cls, **fields):
+    """cls(**fields), with a ValueError from its checks reported as a
+    usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _parse_range(text: str, flag: str) -> list:
     try:
         if ".." in text:
@@ -107,7 +116,7 @@ def _build_argparser() -> _Parser:
     gen.add_argument("--pairs", help="also write extracted training pairs here")
 
     tr = sub.add_parser("train", help="curriculum-train the rule selector")
-    tr.add_argument("--stages", type=int, default=4)
+    tr.add_argument("--stages", type=_positive_int, default=4)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="model file path")
     tr.add_argument("--log", help="training log CSV path")
@@ -163,7 +172,8 @@ def _cmd_gen(g, args) -> int:
 
 def _cmd_train(g, args) -> int:
     schedule = sampler.curriculum_schedule(args.stages, base_seed=args.seed)
-    cfg = guider.TrainConfig(
+    cfg = _config(
+        guider.TrainConfig,
         d_emb=args.d_emb,
         d_h=args.d_h,
         batch_size=args.batch_size,
@@ -216,7 +226,7 @@ def _cmd_infer(g, args) -> int:
 
 
 def _cmd_search(g, args) -> int:
-    cfg = SearchConfig(max_depth=args.max_depth, time_limit_s=args.time_limit)
+    cfg = _config(SearchConfig, max_depth=args.max_depth, time_limit_s=args.time_limit)
 
     def answer(tokens):
         res = iddfs_parse(g, tokens, cfg)
@@ -227,6 +237,9 @@ def _cmd_search(g, args) -> int:
 
 def _cmd_eval(g, args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    search_cfg = _config(
+        SearchConfig, max_depth=args.search_max_depth, time_limit_s=args.search_time_limit
+    )
     model = guider.load_model(args.model, g) if args.model else None
     records = evaluate.evaluate_grid(
         g,
@@ -236,9 +249,7 @@ def _cmd_eval(g, args) -> int:
         per_cell=args.per_cell,
         seed=args.seed,
         model=model,
-        search_cfg=SearchConfig(
-            max_depth=args.search_max_depth, time_limit_s=args.search_time_limit
-        ),
+        search_cfg=search_cfg,
     )
     evaluate.write_csv(records, args.out)
     return 0

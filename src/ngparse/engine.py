@@ -217,14 +217,14 @@ def _infer_beam(g, expand, tokens, nt, cfg):
     if not completed:
         raise Unparseable("beam exhausted without a complete derivation")
     best = max(completed, key=lambda s: s[0])
-    return _tree_from_preorder(g, best[1], 0, nt)[0]
+    return _tree_from_preorder(g, best[1], 0)[0]
 
 
-def _tree_from_preorder(g, rule_ids, idx, nt):
+def _tree_from_preorder(g, rule_ids, idx):
     rule = g.rule_by_id(rule_ids[idx])
     idx += 1
     children = []
-    for knt in rule.rhs_nonterminals():
-        child, idx = _tree_from_preorder(g, rule_ids, idx, knt)
+    for _ in rule.rhs_nonterminals():
+        child, idx = _tree_from_preorder(g, rule_ids, idx)
         children.append(child)
     return Ast(rule.id, tuple(children)), idx

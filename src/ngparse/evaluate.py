@@ -19,7 +19,7 @@ from .grammar import Grammar
 from .sampler import SampleBucket, UnsatisfiableBucket, derive_seed, sample_corpus
 from .search import SearchConfig, iddfs_parse
 
-__all__ = ["EvalRecord", "evaluate_grid", "write_csv", "read_csv"]
+__all__ = ["EvalRecord", "evaluate_grid", "write_csv"]
 
 # Guided methods and the engine mode each runs; search and oracle need no model.
 _GUIDED_MODES = {"ngsi": "fallback", "greedy": "greedy", "beam": "beam"}
@@ -146,32 +146,3 @@ def write_csv(records, path) -> None:
                 f"{r.exact_match:.4f},{r.mean_time_s:.6f},{r.p95_time_s:.6f},"
                 f"{_format_errors(r.errors)}\n"
             )
-
-
-def read_csv(path) -> list:
-    records = []
-    with open(path) as fh:
-        header = fh.readline()
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            method, d, l, count, rate, mean_t, p95_t, errs = line.split(",")
-            errors = {}
-            if errs:
-                for part in errs.split(";"):
-                    k, v = part.split(":")
-                    errors[k] = int(v)
-            records.append(
-                EvalRecord(
-                    method,
-                    int(d),
-                    int(l),
-                    int(count),
-                    float(rate),
-                    float(mean_t),
-                    float(p95_t),
-                    errors,
-                )
-            )
-    return records

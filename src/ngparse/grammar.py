@@ -280,10 +280,18 @@ def build_grammar() -> Grammar:
 def validate_grammar(g: Grammar) -> list:
     """Return a list of defect strings; empty means the grammar is valid.
 
-    Checks reachability from the start symbol, productivity (every
-    nonterminal derives some terminal string), and duplicate right-hand
-    sides under the same lhs. Defects are data, not exceptions.
+    Checks that every nonterminal a rule names is declared, reachability
+    from the start symbol, productivity (every nonterminal derives some
+    terminal string), and duplicate right-hand sides under the same lhs.
+    Defects are data, not exceptions. An undeclared nonterminal is reported
+    alone: the other checks index the grammar's tables by nonterminal id.
     """
+    undeclared = [
+        f"undeclared: {k.name} in {r.name}"
+        for r in g.rules for k in (r.lhs, *r.rhs_nonterminals()) if k not in g.nonterminals
+    ]
+    if undeclared:
+        return undeclared
     defects = [
         f"nonproductive: {nt.name}"
         for nt, length in zip(g.nonterminals, g.min_lengths)

@@ -353,7 +353,7 @@ def loss_and_gradients(g: Grammar, batch, m: GuiderModel):
     h, cache = _forward(m, seqs, want_cache=True)
     logits = h @ params["W_out"] + params["b_out"]
 
-    B, R = logits.shape
+    B = len(batch)
     batch_mask = masks[[p.nt.id for p in batch]]
     labels = np.array([p.rule_id for p in batch])
     neg = np.full_like(logits, -np.inf)
@@ -437,14 +437,22 @@ class TrainConfig:
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.9  # stated value; pass 0.999 for the conventional one
-    eps: float = 1e-8
     iters_per_stage: int = 2000
     programs_per_stage: int = 1500
     heldout_programs: int = 200
     eval_every: int = 100
     early_stop_acc: float = 0.995
     seed: int = 0
-    dtype: type = np.float32
+
+    def __post_init__(self):
+        if min(self.d_emb, self.d_h, self.batch_size, self.programs_per_stage,
+               self.heldout_programs, self.eval_every) < 1:
+            raise ValueError(
+                "d_emb, d_h, batch_size, programs_per_stage, heldout_programs "
+                f"and eval_every must be >= 1: {self}"
+            )
+        if self.iters_per_stage < 0:
+            raise ValueError(f"iters_per_stage must be >= 0: {self}")
 
 
 def _step_accuracy(g: Grammar, m: GuiderModel, pairs, chunk: int = 512) -> float:
@@ -486,10 +494,8 @@ def train(g: Grammar, schedule, config: TrainConfig = None):
     from .sampler import extract_training_pairs, sample_corpus
 
     cfg = config or TrainConfig()
-    model = init_model(
-        g, d_emb=cfg.d_emb, d_h=cfg.d_h, seed=cfg.seed, dtype=cfg.dtype
-    )
-    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    model = init_model(g, d_emb=cfg.d_emb, d_h=cfg.d_h, seed=cfg.seed)
+    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     log = []
 
     for stage, bucket in enumerate(schedule):

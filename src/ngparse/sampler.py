@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar, Nonterminal
+from .grammar import Grammar, GrammarError, Nonterminal
 from .tree import Ast, pretty_print
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "write_corpus",
     "read_corpus",
     "write_pairs",
-    "read_pairs",
 ]
 
 MIN_PROGRAM_LENGTH = 4  # shortest derivable program: "v0 = 0 ;"
@@ -358,8 +357,6 @@ def curriculum_schedule(stages: int, base_seed: int = 0, repeats: int = 3) -> li
             frac = i / (stages - 1) if stages > 1 else 1.0
             max_len = round(7 + frac * 8)
             max_depth = round(7 + frac * 2)
-            if stages == 1:
-                max_depth = 9
             buckets.append(
                 SampleBucket(
                     min_length=5,
@@ -385,16 +382,24 @@ def write_corpus(g: Grammar, items, path) -> None:
 
 
 def read_corpus(g: Grammar, path) -> list:
-    from .tree import deserialize
+    """Read a write_corpus file. A line that is not a program and its tree
+    text, separated by one tab, raises TreeError (GrammarError for a word
+    outside the vocabulary) naming its 1-based line number."""
+    from .tree import TreeError, deserialize
 
     items = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            text, ast_text = line.split("\t")
-            items.append((g.encode(text), deserialize(g, ast_text)))
+            fields = line.split("\t")
+            try:
+                if len(fields) != 2:
+                    raise TreeError(f"expected 2 tab-separated fields, got {len(fields)}")
+                items.append((g.encode(fields[0]), deserialize(g, fields[1])))
+            except (TreeError, GrammarError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
     return items
 
 
@@ -402,15 +407,3 @@ def write_pairs(g: Grammar, pairs, path) -> None:
     with open(path, "w") as fh:
         for p in pairs:
             fh.write(f"{g.decode(p.tokens)}\t{p.nt.name}\t{p.rule_id}\n")
-
-
-def read_pairs(g: Grammar, path) -> list:
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            text, nt_name, rule_id = line.split("\t")
-            pairs.append(TrainingPair(g.encode(text), g.nonterminal(nt_name), int(rule_id)))
-    return pairs

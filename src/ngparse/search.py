@@ -21,6 +21,12 @@ class SearchConfig:
     max_depth: int = 24
     time_limit_s: float = 3600.0
 
+    def __post_init__(self):
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not self.time_limit_s > 0:
+            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
+
 
 @dataclass
 class SearchResult:

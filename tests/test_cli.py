@@ -237,12 +237,21 @@ def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
         (["gen", "--bucket", "5:15:1:9", "--n", "-1"], "argument --n: expected an integer >= 1"),
         (["infer", "--model", "absent.bin", "--beam-width", "0"], "argument --beam-width:"),
         (["eval", "--methods", "oracle", "--per-cell", "0"], "argument --per-cell:"),
+        (["train", "--stages", "0"], "argument --stages: expected an integer >= 1"),
+        (["train", "--batch-size", "0"], "d_emb, d_h, batch_size"),
+        (["train", "--programs-per-stage", "0"], "d_emb, d_h, batch_size"),
+        (["search", "--max-depth", "0"], "max_depth must be >= 1"),
+        (["search", "--time-limit", "-1"], "time_limit_s must be > 0"),
+        (["eval", "--methods", "search", "--search-max-depth", "0"], "max_depth must be >= 1"),
     ],
-    ids=["bucket-range", "negative-n", "zero-beam-width", "zero-per-cell"],
+    ids=["bucket-range", "negative-n", "zero-beam-width", "zero-per-cell", "zero-stages",
+         "zero-batch-size", "zero-programs-per-stage", "zero-search-depth",
+         "negative-time-limit", "zero-eval-search-depth"],
 )
 def test_out_of_range_value_is_a_usage_error(args, prefix, tmp_path):
     out = tmp_path / "out"
-    res = run_cli(args + (["--out", str(out)] if args[0] != "infer" else []), "v0 = 1 ;\n")
+    has_out = args[0] not in ("infer", "search")
+    res = run_cli(args + (["--out", str(out)] if has_out else []), "v0 = 1 ;\n")
     assert res.returncode == 1
     assert res.stderr.startswith(f"usage error: {prefix}")
     assert res.stdout == ""

@@ -1,6 +1,6 @@
 import pytest
 
-from ngparse.evaluate import EvalRecord, evaluate_grid, read_csv, write_csv
+from ngparse.evaluate import EvalRecord, evaluate_grid, write_csv
 from ngparse.search import SearchConfig
 
 
@@ -47,22 +47,20 @@ def test_per_cell_validation(g):
         evaluate_grid(g, ["ngsi"], [7], [8], per_cell=1, seed=0)  # no model
 
 
-def test_csv_roundtrip(g, tmp_path):
+def test_csv_lines_are_exact(g, tmp_path):
     records = [
-        EvalRecord("oracle", 7, 8, 10, 0.9, 0.001234, 0.002345, {"unparseable": 1}),
         EvalRecord("search", 7, 8, 10, 1.0, 0.1, 0.2, {}),
+        EvalRecord("oracle", 7, 8, 10, 0.9, 0.001234, 0.002345, {"unparseable": 1}),
+        EvalRecord("oracle", 7, 6, 3, 1 / 3, 0.5, 2.0, {"timeout": 2, "mismatch": 1}),
     ]
     path = tmp_path / "grid.csv"
     write_csv(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "method,depth,length,count,exact_match,mean_time_s,p95_time_s,errors"
-    assert ",0.9000," in lines[1]
-    back = read_csv(path)
-    assert [(r.method, r.depth, r.length, r.count, r.exact_match) for r in back] == [
-        ("oracle", 7, 8, 10, 0.9),
-        ("search", 7, 8, 10, 1.0),
+    assert path.read_text().splitlines() == [
+        "method,depth,length,count,exact_match,mean_time_s,p95_time_s,errors",
+        "oracle,7,6,3,0.3333,0.500000,2.000000,mismatch:1;timeout:2",
+        "oracle,7,8,10,0.9000,0.001234,0.002345,unparseable:1",
+        "search,7,8,10,1.0000,0.100000,0.200000,",
     ]
-    assert back[0].errors == {"unparseable": 1}
 
 
 def test_csv_empty(g, tmp_path):

@@ -83,6 +83,18 @@ def test_self_recursive_nonterminal_is_nonproductive(g):
     assert g2.min_lengths[g.start.id] == g.min_lengths[g.start.id]
 
 
+@pytest.mark.parametrize("side", ["rhs", "lhs"])
+def test_undeclared_nonterminal_is_a_defect(g, side):
+    # Ghost shares no declared nonterminal's identity; as an lhs it takes a
+    # declared id, since the grammar files rules by lhs id.
+    if side == "rhs":
+        ghost = ProductionRule(len(g.rules), "X1", g.start, (Nonterminal(99, "Ghost"),))
+    else:
+        ghost = ProductionRule(len(g.rules), "X1", Nonterminal(3, "Ghost"), (g.token(";"),))
+    g2 = _make(g.nonterminals, g.rules + (ghost,), g.start)
+    assert validate_grammar(g2) == ["undeclared: Ghost in X1"]
+
+
 def test_duplicate_rhs_defect(g):
     e3 = g.rule_by_name("E3")
     dup = ProductionRule(len(g.rules), "E3b", e3.lhs, e3.rhs)

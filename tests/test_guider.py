@@ -512,6 +512,16 @@ def test_zero_iterations_returns_init(g):
     assert log == []
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("d_emb", 0), ("d_h", 0), ("batch_size", 0), ("programs_per_stage", 0),
+     ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1)],
+)
+def test_train_config_rejects_bad_sizes(field, value):
+    with pytest.raises(ValueError, match=rf"must be >= \d: TrainConfig\(.*\b{field}={value}[,)]"):
+        TrainConfig(**{field: value})
+
+
 def test_training_log_deterministic(g):
     from ngparse.sampler import curriculum_schedule
 

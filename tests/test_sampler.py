@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import enumerated_trees
 from ngparse import sampler
-from ngparse.grammar import build_grammar
+from ngparse.grammar import GrammarError, build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import (
     SampleBucket,
@@ -16,13 +17,12 @@ from ngparse.sampler import (
     extract_training_pairs,
     feasible_cells,
     read_corpus,
-    read_pairs,
     sample_corpus,
     sample_program,
     write_corpus,
     write_pairs,
 )
-from ngparse.tree import depth, node_count, pretty_print, serialize
+from ngparse.tree import TreeError, depth, deserialize, node_count, pretty_print, serialize
 
 
 def test_minimal_bucket_yields_assignments(g):
@@ -150,12 +150,37 @@ def test_corpus_file_roundtrip(g, tmp_path):
     assert back == corpus
 
 
-def test_pairs_file_roundtrip(g, tmp_path):
-    corpus = sample_corpus(g, SampleBucket(5, 15, 1, 9, seed=12), 10)
-    pairs = [p for _, t in corpus for p in extract_training_pairs(g, t)]
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("v0 = 1 ;", "expected 2 tab-separated fields, got 1"),
+        ("v0 = 1 ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))\tx", "expected 2 tab-separated fields, got 3"),
+        ("v0 = 1 ;\t(S2 (A1 (V1)", "expected ')'"),
+        ("v0 = frob ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))", "unknown terminal: 'frob'"),
+    ],
+    ids=["no-tab", "two-tabs", "bad-tree", "unknown-word"],
+)
+def test_malformed_corpus_line_names_its_line(g, tmp_path, line, problem):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("v0 = 1 ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))\n\n" + line + "\n")
+    error = GrammarError if "frob" in line else TreeError
+    with pytest.raises(error, match=f"^line 3: {re.escape(problem)}"):
+        read_corpus(g, path)
+
+
+def test_pairs_file_lines_are_exact(g, tmp_path):
+    t = deserialize(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))")
     path = tmp_path / "pairs.tsv"
-    write_pairs(g, pairs, path)
-    assert read_pairs(g, path) == pairs
+    write_pairs(g, extract_training_pairs(g, t), path)
+    assert path.read_text().splitlines() == [
+        "v0 = 1 ;\tStmt\t1",
+        "v0 = 1\tSimpStmt\t2",
+        "v0\tVar\t17",
+        "1\tAExpr\t7",
+        "1\tATerm\t9",
+        "1\tAFactor\t12",
+        "1\tConst\t23",
+    ]
 
 
 def test_equal_grammars_share_one_count_table():

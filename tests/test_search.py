@@ -44,6 +44,16 @@ def test_empty_input_rejected(g):
         iddfs_parse(g, ())
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_depth": 0}, {"max_depth": -5}, {"time_limit_s": 0}, {"time_limit_s": -1}],
+    ids=["zero-depth", "negative-depth", "zero-time-limit", "negative-time-limit"],
+)
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SearchConfig(**kwargs)
+
+
 def test_median_time_superlinear(g):
     cfg = SearchConfig(max_depth=20, time_limit_s=60)
     medians = {}

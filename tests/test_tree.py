@@ -92,3 +92,49 @@ def test_random_roundtrips_and_monotonicity(g):
         for child in t.children:
             assert depth(child) < d
             assert len(pretty_print(g, child)) <= n
+
+
+def _mutants(g, n, seed):
+    """Seeded mutations of serialized trees: each applies one to three
+    edits (delete, insert or replace a character, truncate, or splice in a
+    slice of another tree's text) to a sampled tree's text."""
+    rng = np.random.default_rng(seed)
+    texts = [serialize(g, t) for _, t in
+             sample_corpus(g, SampleBucket(4, 30, 1, 11, seed=seed), 60)]
+    alphabet = list("() \t\nSAIWETFBVC0123456789x") + ["é", "\x00"]
+    for _ in range(n):
+        text = list(texts[int(rng.integers(len(texts)))])
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(len(text) + 1))
+            kind = int(rng.integers(5))
+            if kind == 0 and i < len(text):
+                del text[i]
+            elif kind == 1:
+                text.insert(i, alphabet[int(rng.integers(len(alphabet)))])
+            elif kind == 2 and i < len(text):
+                text[i] = alphabet[int(rng.integers(len(alphabet)))]
+            elif kind == 3:
+                del text[i:]
+            else:
+                donor = texts[int(rng.integers(len(texts)))]
+                a, b = sorted(int(x) for x in rng.integers(len(donor) + 1, size=2))
+                text[i:i] = donor[a:b]
+        yield "".join(text)
+
+
+def test_deserialize_fuzz_gives_trees_or_tree_errors(g):
+    """Mutated tree texts and one 5,000-deep nesting: every outcome is a
+    valid tree (which serializes back to itself) or a TreeError; any other
+    exception fails the test."""
+    parsed = 0
+    for text in _mutants(g, 3000, seed=21):
+        try:
+            t = deserialize(g, text)
+        except TreeError:
+            continue
+        parsed += 1
+        assert deserialize(g, serialize(g, t)) == t
+    assert 0 < parsed < 3000
+    leaf = "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"
+    with pytest.raises(TreeError):
+        deserialize(g, "(S1 (A1 (V1) (E3 (T2 (F3 (C2))))) " * 5000 + leaf + ")" * 5000)
