@@ -11,13 +11,12 @@ file of key=value lines supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-
-import numpy as np
 
 from . import evaluate, guider, sampler
 from .engine import MODES, InferConfig, InferenceError, infer, model_selector
-from .grammar import GrammarError, Nonterminal, build_grammar
+from .grammar import GrammarError, Token, build_grammar
 from .parser import ParseError, reference_parse
 from .search import SearchConfig, iddfs_parse
 from .tree import serialize
@@ -54,13 +53,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config(cls, **fields):
-    """cls(**fields), with a ValueError from its checks reported as a
+def _checked(check, *args, **kwargs):
+    """check(*args, **kwargs), with a ValueError from it reported as a
     usage error."""
     try:
-        return cls(**fields)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _config(cls, args, **fields):
+    """cls from the flags in args named after its fields, plus fields. A
+    flag left out is absent from args, so it takes cls's own default."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
+    return _checked(cls, **given, **fields)
 
 
 def _parse_range(text: str, flag: str) -> list:
@@ -115,28 +121,31 @@ def _build_argparser() -> _Parser:
     gen.add_argument("--out", required=True, help="corpus file path")
     gen.add_argument("--pairs", help="also write extracted training pairs here")
 
-    tr = sub.add_parser("train", help="curriculum-train the rule selector")
+    # A flag with no default here stays out of args when left out, so the
+    # config class it feeds supplies the default (see _config).
+    suppress = {"argument_default": argparse.SUPPRESS}
+    tr = sub.add_parser("train", help="curriculum-train the rule selector", **suppress)
     tr.add_argument("--stages", type=_positive_int, default=4)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="model file path")
-    tr.add_argument("--log", help="training log CSV path")
-    tr.add_argument("--batch-size", type=int, default=64)
-    tr.add_argument("--lr", type=float, default=1e-4)
-    tr.add_argument("--beta1", type=float, default=0.9)
-    tr.add_argument("--beta2", type=float, default=0.9)
-    tr.add_argument("--d-emb", type=int, default=64)
-    tr.add_argument("--d-h", type=int, default=256)
-    tr.add_argument("--iters-per-stage", type=int, default=2000)
-    tr.add_argument("--programs-per-stage", type=int, default=1500)
+    tr.add_argument("--log", default=None, help="training log CSV path")
+    tr.add_argument("--batch-size", type=int)
+    tr.add_argument("--lr", type=float)
+    tr.add_argument("--beta1", type=float)
+    tr.add_argument("--beta2", type=float)
+    tr.add_argument("--d-emb", type=int)
+    tr.add_argument("--d-h", type=int)
+    tr.add_argument("--iters-per-stage", type=int)
+    tr.add_argument("--programs-per-stage", type=int)
 
-    inf = sub.add_parser("infer", help="guided inference, token strings on stdin")
+    inf = sub.add_parser("infer", help="guided inference, token strings on stdin", **suppress)
     inf.add_argument("--model", required=True)
-    inf.add_argument("--mode", choices=MODES, default="fallback")
-    inf.add_argument("--beam-width", type=_positive_int, default=4)
+    inf.add_argument("--mode", choices=MODES)
+    inf.add_argument("--beam-width", type=_positive_int)
 
-    se = sub.add_parser("search", help="IDDFS baseline, token strings on stdin")
-    se.add_argument("--max-depth", type=int, default=24)
-    se.add_argument("--time-limit", type=float, default=3600.0)
+    se = sub.add_parser("search", help="IDDFS baseline, token strings on stdin", **suppress)
+    se.add_argument("--max-depth", type=int)
+    se.add_argument("--time-limit", type=float, dest="time_limit_s")
 
     ev = sub.add_parser("eval", help="accuracy/latency grid over depth x length")
     ev.add_argument("--model")
@@ -146,7 +155,7 @@ def _build_argparser() -> _Parser:
     ev.add_argument("--per-cell", type=_positive_int, default=100)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--search-max-depth", type=int, default=24)
+    ev.add_argument("--search-max-depth", type=int, dest="max_depth", default=argparse.SUPPRESS)
     ev.add_argument("--search-time-limit", type=float, default=60.0)
 
     pa = sub.add_parser("parse", help="oracle recursive-descent parse of stdin lines")
@@ -171,19 +180,8 @@ def _cmd_gen(g, args) -> int:
 
 
 def _cmd_train(g, args) -> int:
+    cfg = _config(guider.TrainConfig, args)
     schedule = sampler.curriculum_schedule(args.stages, base_seed=args.seed)
-    cfg = _config(
-        guider.TrainConfig,
-        d_emb=args.d_emb,
-        d_h=args.d_h,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        iters_per_stage=args.iters_per_stage,
-        programs_per_stage=args.programs_per_stage,
-        seed=args.seed,
-    )
     model, log = guider.train(g, schedule, cfg)
     guider.save_model(model, args.out)
     if args.log:
@@ -214,7 +212,7 @@ def _serve(g, answer) -> int:
 def _cmd_infer(g, args) -> int:
     model = guider.load_model(args.model, g)
     selector = model_selector(g, model)
-    cfg = InferConfig(mode=args.mode, beam_width=args.beam_width)
+    cfg = _config(InferConfig, args)
 
     def answer(tokens):
         try:
@@ -226,7 +224,7 @@ def _cmd_infer(g, args) -> int:
 
 
 def _cmd_search(g, args) -> int:
-    cfg = _config(SearchConfig, max_depth=args.max_depth, time_limit_s=args.time_limit)
+    cfg = _config(SearchConfig, args)
 
     def answer(tokens):
         res = iddfs_parse(g, tokens, cfg)
@@ -237,15 +235,16 @@ def _cmd_search(g, args) -> int:
 
 def _cmd_eval(g, args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    search_cfg = _config(
-        SearchConfig, max_depth=args.search_max_depth, time_limit_s=args.search_time_limit
-    )
+    _checked(evaluate.check_methods, methods, bool(args.model))
+    depths = _parse_range(args.depths, "--depths")
+    lengths = _parse_range(args.lengths, "--lengths")
+    search_cfg = _config(SearchConfig, args, time_limit_s=args.search_time_limit)
     model = guider.load_model(args.model, g) if args.model else None
     records = evaluate.evaluate_grid(
         g,
         methods,
-        _parse_range(args.depths, "--depths"),
-        _parse_range(args.lengths, "--lengths"),
+        depths,
+        lengths,
         per_cell=args.per_cell,
         seed=args.seed,
         model=model,
@@ -266,8 +265,6 @@ def _cmd_parse(g, args) -> int:
 
 
 def _cmd_inspect_grammar(g, args) -> int:
-    from .grammar import Token
-
     for r in g.rules:
         rhs = " ".join(
             s.text if isinstance(s, Token) else s.name for s in r.rhs
@@ -299,14 +296,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-        args = _build_argparser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    g = build_grammar()
-    try:
-        return _COMMANDS[args.command](g, args)
+        args = _build_argparser().parse_args(_apply_config_file(argv))
+        return _COMMANDS[args.command](build_grammar(), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

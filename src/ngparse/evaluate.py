@@ -19,7 +19,7 @@ from .grammar import Grammar
 from .sampler import SampleBucket, UnsatisfiableBucket, derive_seed, sample_corpus
 from .search import SearchConfig, iddfs_parse
 
-__all__ = ["EvalRecord", "evaluate_grid", "write_csv"]
+__all__ = ["EvalRecord", "check_methods", "evaluate_grid", "write_csv"]
 
 # Guided methods and the engine mode each runs; search and oracle need no model.
 _GUIDED_MODES = {"ngsi": "fallback", "greedy": "greedy", "beam": "beam"}
@@ -36,6 +36,17 @@ class EvalRecord:
     mean_time_s: float
     p95_time_s: float
     errors: dict = field(default_factory=dict)
+
+
+def check_methods(methods, have_model: bool) -> None:
+    """Raise ValueError for an unknown method, or for a guided one when
+    there is no model to guide it."""
+    for m in methods:
+        if m not in KNOWN_METHODS:
+            raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+    needs_model = [m for m in methods if m in _GUIDED_MODES]
+    if needs_model and not have_model:
+        raise ValueError(f"methods {needs_model} require a model")
 
 
 def _make_runner(g, method, model, search_cfg):
@@ -81,12 +92,7 @@ def evaluate_grid(
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
-    for m in methods:
-        if m not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
-    needs_model = [m for m in methods if m in _GUIDED_MODES]
-    if needs_model and model is None:
-        raise ValueError(f"methods {needs_model} require a model")
+    check_methods(methods, model is not None)
 
     runners = {m: _make_runner(g, m, model, search_cfg) for m in methods}
     records = []

@@ -112,6 +112,11 @@ class Grammar:
         self._candidates = {}
         by_lhs = [[] for _ in self.nonterminals]
         for r in self.rules:
+            if not 0 <= r.lhs.id < len(by_lhs):
+                raise GrammarError(
+                    f"rule {r.name}: lhs {r.lhs.name} has id {r.lhs.id}, "
+                    f"outside 0..{len(by_lhs) - 1}"
+                )
             by_lhs[r.lhs.id].append(r)
             self._rule_by_name[r.name] = r
         # Nonterminal id -> its rules, in rule-id order.

@@ -343,8 +343,10 @@ def loss_and_gradients(g: Grammar, batch, m: GuiderModel):
     if not batch:
         raise GuiderError("empty batch")
     masks = _rule_masks(g)
+    n_nt, n_rules = masks.shape
     for p in batch:
-        if not masks[p.nt.id, p.rule_id]:
+        if not (0 <= p.nt.id < n_nt and 0 <= p.rule_id < n_rules
+                and masks[p.nt.id, p.rule_id]):
             raise GuiderError(
                 f"label {p.rule_id} not applicable for {p.nt.name}"
             )
@@ -453,6 +455,8 @@ class TrainConfig:
             )
         if self.iters_per_stage < 0:
             raise ValueError(f"iters_per_stage must be >= 0: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self}")
 
 
 def _step_accuracy(g: Grammar, m: GuiderModel, pairs, chunk: int = 512) -> float:

@@ -59,6 +59,8 @@ class SampleBucket:
             raise ValueError(f"bad length range: {self}")
         if not 1 <= self.min_depth <= self.max_depth:
             raise ValueError(f"bad depth range: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import re
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env, save_with_tensors
-from ngparse import cli, engine
+from ngparse import cli, engine, evaluate, guider, search
 
 
 def run_cli(args, stdin=""):
@@ -220,6 +222,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
         (["gen", "--bucket", "5:15:x:9", "--n", "1"], "--bucket"),
         (["eval", "--methods", "oracle", "--depths", "7.."], "--depths"),
         (["eval", "--methods", "oracle", "--lengths", "8,ten"], "--lengths"),
+        (["eval", "--model", "absent.bin", "--methods", "oracle", "--depths", "7.."], "--depths"),
     ],
 )
 def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
@@ -243,10 +246,16 @@ def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
         (["search", "--max-depth", "0"], "max_depth must be >= 1"),
         (["search", "--time-limit", "-1"], "time_limit_s must be > 0"),
         (["eval", "--methods", "search", "--search-max-depth", "0"], "max_depth must be >= 1"),
+        (["eval", "--model", "absent.bin", "--methods", "oracle,nope"], "unknown method 'nope'"),
+        (["eval", "--methods", "ngsi"], "methods ['ngsi'] require a model"),
+        (["gen", "--bucket", "5:15:1:9", "--n", "1", "--seed", "-1"],
+         "--bucket '5:15:1:9': seed must be >= 0"),
+        (["train", "--seed", "-1"], "seed must be >= 0"),
     ],
     ids=["bucket-range", "negative-n", "zero-beam-width", "zero-per-cell", "zero-stages",
          "zero-batch-size", "zero-programs-per-stage", "zero-search-depth",
-         "negative-time-limit", "zero-eval-search-depth"],
+         "negative-time-limit", "zero-eval-search-depth", "unknown-method",
+         "ngsi-without-model", "negative-gen-seed", "negative-train-seed"],
 )
 def test_out_of_range_value_is_a_usage_error(args, prefix, tmp_path):
     out = tmp_path / "out"
@@ -256,3 +265,65 @@ def test_out_of_range_value_is_a_usage_error(args, prefix, tmp_path):
     assert res.stderr.startswith(f"usage error: {prefix}")
     assert res.stdout == ""
     assert not out.exists()
+
+
+@dataclasses.dataclass
+class _Train(guider.TrainConfig):
+    lr: float = 3e-4
+
+
+@dataclasses.dataclass(frozen=True)
+class _Infer(engine.InferConfig):
+    beam_width: int = 7
+
+
+@dataclasses.dataclass(frozen=True)
+class _Search(search.SearchConfig):
+    max_depth: int = 17
+
+
+def test_flag_left_out_takes_the_config_default(small_model_path, tmp_path, monkeypatch):
+    # Each config class the CLI builds is swapped for a subclass with one
+    # default changed, and the config each command builds is captured.
+    built = []
+
+    def capture(*args):
+        built.append(args[-1])
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(guider, "TrainConfig", _Train)
+    monkeypatch.setattr(cli, "InferConfig", _Infer)
+    monkeypatch.setattr(cli, "SearchConfig", _Search)
+    for name, owner in (("train", guider), ("infer", cli), ("iddfs_parse", cli)):
+        monkeypatch.setattr(owner, name, capture)
+    monkeypatch.setattr(evaluate, "evaluate_grid", lambda *a, search_cfg, **kw: capture(search_cfg))
+    for argv in (["train", "--out", str(tmp_path / "m.bin")],
+                 ["infer", "--model", str(small_model_path)],
+                 ["search"],
+                 ["eval", "--methods", "search", "--out", str(tmp_path / "grid.csv")]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 ;\n"))
+        assert cli.main(argv) == 2
+    assert built == [_Train(), _Infer(), _Search(), _Search(time_limit_s=60.0)]
+
+
+_FLAGS = {
+    "gen": "--bucket --n --seed --out --pairs",
+    "train": "--stages --seed --out --log --batch-size --lr --beta1 --beta2 --d-emb --d-h "
+             "--iters-per-stage --programs-per-stage",
+    "infer": "--model --mode --beam-width",
+    "search": "--max-depth --time-limit",
+    "eval": "--model --methods --depths --lengths --per-cell --seed --out "
+            "--search-max-depth --search-time-limit",
+    "parse": "--oracle",
+    "inspect-grammar": "",
+    "inspect-model": "--model",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_lists_every_flag(command):
+    assert set(_FLAGS) == set(cli._COMMANDS)
+    res = run_cli([command, "--help"])
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert set(re.findall(r"--[a-z0-9-]+", res.stdout)) == {"--help", *_FLAGS[command].split()}

@@ -95,6 +95,14 @@ def test_undeclared_nonterminal_is_a_defect(g, side):
     assert validate_grammar(g2) == ["undeclared: Ghost in X1"]
 
 
+@pytest.mark.parametrize("lhs_id", [-1, 99])
+def test_lhs_id_out_of_range_is_an_error(g, lhs_id):
+    ghost = ProductionRule(len(g.rules), "X1", Nonterminal(lhs_id, "Ghost"), (g.token(";"),))
+    message = rf"^rule X1: lhs Ghost has id {lhs_id}, outside 0\.\.7$"
+    with pytest.raises(GrammarError, match=message):
+        _make(g.nonterminals, g.rules + (ghost,), g.start)
+
+
 def test_duplicate_rhs_defect(g):
     e3 = g.rule_by_name("E3")
     dup = ProductionRule(len(g.rules), "E3b", e3.lhs, e3.rhs)

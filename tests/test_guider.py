@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIXTURE_MODEL, save_with_tensors
 from ngparse import guider
+from ngparse.grammar import Nonterminal
 from ngparse.guider import (
     AdamState,
     GuiderError,
@@ -254,9 +255,16 @@ def test_loss_invariant_under_duplication(g, tiny_model):
 
 
 def test_inapplicable_label_rejected(g, tiny_model):
-    bad = TrainingPair(g.encode("v0"), g.nonterminal("Var"), g.rule_by_name("C1").id)
-    with pytest.raises(GuiderError):
-        loss_and_gradients(g, [bad], tiny_model)
+    const = g.nonterminal("Const")
+    cases = [
+        (g.encode("v0"), g.nonterminal("Var"), g.rule_by_name("C1").id),
+        (g.encode("3"), const, -1),  # as an index, -1 is the last rule, C10
+        (g.encode("3"), const, len(g.rules)),
+        (g.encode("3"), Nonterminal(len(g.nonterminals), "X"), g.rule_by_name("C4").id),
+    ]
+    for tokens, nt, rule_id in cases:
+        with pytest.raises(GuiderError, match=rf"^label {rule_id} not applicable for {nt.name}$"):
+            loss_and_gradients(g, [TrainingPair(tokens, nt, rule_id)], tiny_model)
 
 
 def _fd_loss(g, m, pairs, name, idx, delta):
@@ -515,7 +523,7 @@ def test_zero_iterations_returns_init(g):
 @pytest.mark.parametrize(
     "field,value",
     [("d_emb", 0), ("d_h", 0), ("batch_size", 0), ("programs_per_stage", 0),
-     ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1)],
+     ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1), ("seed", -1)],
 )
 def test_train_config_rejects_bad_sizes(field, value):
     with pytest.raises(ValueError, match=rf"must be >= \d: TrainConfig\(.*\b{field}={value}[,)]"):

@@ -70,6 +70,8 @@ def test_bucket_validation():
         SampleBucket(10, 5, 1, 9)
     with pytest.raises(ValueError):
         SampleBucket(5, 10, 5, 2)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SampleBucket(5, 10, 1, 9, seed=-1)
 
 
 def test_exact_cell_sampling(g):
