@@ -58,6 +58,10 @@ class InferConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("beam_width", "max_recursion_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.beam_width < 1 or self.max_recursion_depth < 1:
             raise ValueError("beam_width and max_recursion_depth must be >= 1")
 

@@ -99,7 +99,12 @@ CLOSERS = ("endif", "endwhile", ")")
 
 
 class Grammar:
-    """Immutable rule table with dense ids and lookup helpers."""
+    """Immutable rule table with dense ids and lookup helpers.
+
+    A grammar also keeps one copy of each small tree it has been asked to
+    share (see share): trees returned by the search baseline may share
+    these frozen subtrees with each other, so compare trees with ==,
+    never by identity."""
 
     def __init__(self, nonterminals, vocabulary, rules, start):
         self.nonterminals = tuple(nonterminals)
@@ -110,6 +115,7 @@ class Grammar:
         self._tok_by_text = {t.text: t for t in self.vocabulary}
         self._rule_by_name = {}
         self._candidates = {}
+        self._shared = {}
         by_lhs = [[] for _ in self.nonterminals]
         for r in self.rules:
             if not 0 <= r.lhs.id < len(by_lhs):
@@ -183,6 +189,58 @@ class Grammar:
             lambda r, best: r.rhs_terminal_count()
             + sum(best[k.id] for k in r.rhs_nonterminals())
         )
+
+    @cached_property
+    def search_plans(self) -> tuple:
+        """Nonterminal id -> one (rule id, rhs min length, steps, leaf) per
+        rule, in rule-id order: the search baseline's view of each rhs,
+        built on first use. steps codes the rhs as (token id or None,
+        nonterminal id or None, min length after this symbol); leaf is the
+        grammar's one Ast(rule id, ()) for an rhs of exactly one terminal,
+        else None."""
+        from .tree import Ast
+
+        min_len = self.min_lengths
+        plans = []
+        for rules in self.rules_by_lhs:
+            plan = []
+            for r in rules:
+                steps, after = [], 0
+                for sym in reversed(r.rhs):
+                    if isinstance(sym, Token):
+                        steps.append((sym.id, None, after))
+                        after += 1
+                    else:
+                        steps.append((None, sym.id, after))
+                        after += min_len[sym.id]
+                one_terminal = len(r.rhs) == 1 and isinstance(r.rhs[0], Token)
+                leaf = Ast(r.id, ()) if one_terminal else None
+                plan.append((r.id, after, tuple(reversed(steps)), leaf))
+            plans.append(tuple(plan))
+        return tuple(plans)
+
+    def share(self, tree):
+        """tree with every subtree whose yield is shorter than the shortest
+        program replaced by this grammar's one copy of it, in one
+        bottom-up pass. One copy is kept per distinct small tree, so the
+        built-in grammar's 1,530 trees of at most 3 tokens bound them."""
+        short = self.min_lengths[self.start.id]
+        table, rules = self._shared, self.rules
+
+        def walk(t):
+            # each child stands for one rhs nonterminal; the rest are terminals
+            kids, moved = [], False
+            length = len(rules[t.rule_id].rhs) - len(t.children)
+            for c in t.children:
+                kid, n = walk(c)
+                kids.append(kid)
+                length += n
+                moved = moved or kid is not c
+            if moved:
+                t = type(t)(t.rule_id, tuple(kids))
+            return (table.setdefault(t, t) if length < short else t), length
+
+        return walk(tree)[0]
 
     def _least(self, cost) -> tuple:
         """Least fixpoint of best[lhs] = min over its rules of cost(rule,

@@ -2,7 +2,13 @@
 applications, accepting the first derivation whose yield is exactly the
 input. Pruning is limited to terminal-prefix matching, minimum-depth
 bounds, and minimum-yield-length bounds; rule order is rule-id order with
-leftmost nonterminal expanded first.
+leftmost nonterminal expanded first. Each rule's rhs is read from the
+grammar's search plans, built once per grammar.
+
+A found tree shares every subtree of fewer tokens than the shortest
+program with the grammar's one frozen copy (``Grammar.share``), so result
+trees may share subtrees with other results: compare them with ``==``,
+never by identity.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .grammar import Grammar, Token
+from .grammar import Grammar
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -22,16 +28,18 @@ class SearchConfig:
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise ValueError(f"max_depth must be an int, got {self.max_depth!r}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not self.time_limit_s > 0:
             raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     status: str  # "found" | "timeout" | "exhausted"
-    tree: Ast = None
+    tree: Ast | None = None
     depth_limit: int = 0
     elapsed_s: float = 0.0
     nodes_expanded: int = 0
@@ -48,7 +56,8 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
     toks = tuple(tokens)
     if not toks:
         raise ValueError("empty input")
-    min_depth, min_len, rules_by_lhs = g.min_depths, g.min_lengths, g.rules_by_lhs
+    n = len(toks)
+    min_depth, min_len, plans = g.min_depths, g.min_lengths, g.search_plans
     deadline = time.perf_counter() + cfg.time_limit_s
     start_time = time.perf_counter()
     expanded = 0
@@ -59,45 +68,46 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
         nonlocal expanded
         if budget < min_depth[nt_id]:
             return
-        if pos + min_len[nt_id] + tail_min > len(toks):
+        if pos + min_len[nt_id] + tail_min > n:
             return
         expanded += 1
         if expanded % 1024 == 0 and time.perf_counter() > deadline:
             raise _Timeout
-        for rule in rules_by_lhs[nt_id]:
-            # remaining minimum length of rhs elements after each position
-            suffix = [0] * (len(rule.rhs) + 1)
-            for i in range(len(rule.rhs) - 1, -1, -1):
-                sym = rule.rhs[i]
-                need = 1 if isinstance(sym, Token) else min_len[sym.id]
-                suffix[i] = suffix[i + 1] + need
-            if pos + suffix[0] + tail_min > len(toks):
+        for rule_id, need, steps, leaf in plans[nt_id]:
+            if pos + need + tail_min > n:
                 continue
-            yield from _expand(rule, 0, pos, (), budget, suffix, tail_min)
+            if leaf is not None:
+                if toks[pos] == steps[0][0]:
+                    yield leaf, pos + 1
+                continue
+            yield from _expand(rule_id, steps, 0, pos, (), budget, tail_min)
 
-    def _expand(rule, i, pos, children, budget, suffix, tail_min):
-        if i == len(rule.rhs):
-            yield Ast(rule.id, children), pos
+    def _expand(rule_id, steps, i, pos, children, budget, tail_min):
+        """Match steps[i:] from pos: terminals inline, then one child
+        derivation per way the next nonterminal can be derived."""
+        while i < len(steps):
+            tok, nt_id, after = steps[i]
+            if nt_id is not None:
+                break
+            if pos == n or toks[pos] != tok:
+                return
+            i += 1
+            pos += 1
+        else:
+            yield Ast(rule_id, children), pos
             return
-        sym = rule.rhs[i]
-        if isinstance(sym, Token):
-            if pos < len(toks) and toks[pos] == sym.id:
-                yield from _expand(
-                    rule, i + 1, pos + 1, children, budget, suffix, tail_min
-                )
-            return
-        for child, end in search(sym.id, pos, budget - 1, suffix[i + 1] + tail_min):
+        for child, end in search(nt_id, pos, budget - 1, after + tail_min):
             yield from _expand(
-                rule, i + 1, end, children + (child,), budget, suffix, tail_min
+                rule_id, steps, i + 1, end, children + (child,), budget, tail_min
             )
 
     try:
         for limit in range(min_depth[g.start.id], cfg.max_depth + 1):
             for tree, end in search(g.start.id, 0, limit, 0):
-                if end == len(toks):
+                if end == n:
                     return SearchResult(
                         "found",
-                        tree=tree,
+                        tree=g.share(tree),
                         depth_limit=limit,
                         elapsed_s=time.perf_counter() - start_time,
                         nodes_expanded=expanded,

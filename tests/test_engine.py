@@ -28,6 +28,21 @@ def test_config_validation():
         InferConfig(beam_width=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mode": "beam", "beam_width": 2.5},
+        {"mode": "beam", "beam_width": True},
+        {"max_recursion_depth": 2.5},
+        {"max_recursion_depth": False},
+    ],
+    ids=["float-width", "bool-width", "float-depth", "bool-depth"],
+)
+def test_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(ValueError, match=list(kwargs)[-1]):
+        InferConfig(**kwargs)
+
+
 @pytest.mark.parametrize("mode,width", [("greedy", 1), ("fallback", 1), ("beam", 3)])
 def test_oracle_equivalence_all_modes(g, mode, width):
     selector = oracle_selector(g)

@@ -11,6 +11,7 @@ from ngparse.grammar import (
     build_grammar,
     validate_grammar,
 )
+from ngparse.tree import Ast
 
 
 def test_rule_and_vocab_sizes(g):
@@ -52,6 +53,32 @@ def test_rule_id_roundtrip(g):
 
 def test_rule_ids_dense_and_in_order(g):
     assert [r.id for r in g.rules] == list(range(len(g.rules)))
+
+
+def test_search_plans_match_min_lengths(g):
+    def need(sym):
+        return 1 if isinstance(sym, Token) else g.min_lengths[sym.id]
+
+    assert g.search_plans is g.search_plans
+    leaves = 0
+    for rules, plan in zip(g.rules_by_lhs, g.search_plans):
+        assert [p[0] for p in plan] == [r.id for r in rules]
+        for r, (_, total, steps, leaf) in zip(rules, plan):
+            assert total == sum(map(need, r.rhs))
+            assert steps == tuple(
+                (
+                    sym.id if isinstance(sym, Token) else None,
+                    sym.id if isinstance(sym, Nonterminal) else None,
+                    sum(map(need, r.rhs[i + 1:])),
+                )
+                for i, sym in enumerate(r.rhs)
+            )
+            if len(r.rhs) == 1 and isinstance(r.rhs[0], Token):
+                assert leaf == Ast(r.id, ())
+                leaves += 1
+            else:
+                assert leaf is None
+    assert leaves == 15
 
 
 def test_builtin_grammar_validates(g):

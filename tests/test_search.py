@@ -1,12 +1,15 @@
 import hashlib
 import statistics
+from collections import Counter
 
 import pytest
 
+from conftest import enumerated_trees
+from ngparse.grammar import Grammar, Nonterminal, ProductionRule, Token, build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.search import SearchConfig, iddfs_parse
-from ngparse.tree import pretty_print, serialize
+from ngparse.tree import Ast, pretty_print, serialize
 
 
 def test_finds_assignment_at_its_depth(g):
@@ -46,8 +49,22 @@ def test_empty_input_rejected(g):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_depth": 0}, {"max_depth": -5}, {"time_limit_s": 0}, {"time_limit_s": -1}],
-    ids=["zero-depth", "negative-depth", "zero-time-limit", "negative-time-limit"],
+    [
+        {"max_depth": 0},
+        {"max_depth": -5},
+        {"max_depth": 2.5},
+        {"max_depth": True},
+        {"time_limit_s": 0},
+        {"time_limit_s": -1},
+    ],
+    ids=[
+        "zero-depth",
+        "negative-depth",
+        "float-depth",
+        "bool-depth",
+        "zero-time-limit",
+        "negative-time-limit",
+    ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -85,3 +102,104 @@ def test_search_outcomes_are_pinned(g):
         h.update(f"{tokens} {tree} {res.status} {res.depth_limit} {res.nodes_expanded}\n".encode())
     assert statuses == ["found"] * 60 + ["exhausted"]
     assert h.hexdigest() == PINNED_SEARCH_SHA256
+
+
+def _small_grammar():
+    """S -> A b S | a b | A;  A -> a | c A | B B;  B -> b. S2 is a
+    two-token all-terminal rhs, S1 and S3 start with a nonterminal."""
+    S, A, B = Nonterminal(0, "S"), Nonterminal(1, "A"), Nonterminal(2, "B")
+    a, b, c = Token(0, "a"), Token(1, "b"), Token(2, "c")
+    table = [
+        ("S1", S, (A, b, S)),
+        ("S2", S, (a, b)),
+        ("S3", S, (A,)),
+        ("A1", A, (a,)),
+        ("A2", A, (c, A)),
+        ("A3", A, (B, B)),
+        ("B1", B, (b,)),
+    ]
+    rules = [ProductionRule(i, name, lhs, rhs) for i, (name, lhs, rhs) in enumerate(table)]
+    return Grammar((S, A, B), (a, b, c), rules, S)
+
+
+def test_search_plans_inline_only_one_terminal_rules():
+    g = _small_grammar()
+    a, b, c = 0, 1, 2
+    S, A, B = 0, 1, 2
+    assert g.search_plans == (
+        (
+            (0, 3, ((None, A, 2), (b, None, 1), (None, S, 0)), None),
+            (1, 2, ((a, None, 1), (b, None, 0)), None),
+            (2, 1, ((None, A, 0),), None),
+        ),
+        (
+            (3, 1, ((a, None, 0),), Ast(3, ())),
+            (4, 2, ((c, None, 1), (None, A, 0)), None),
+            (5, 2, ((None, B, 1), (None, B, 0)), None),
+        ),
+        ((6, 1, ((b, None, 0),), Ast(6, ())),),
+    )
+
+
+# (input, tree, status, final depth limit, nodes expanded) for the small
+# grammar, as the search gave them before it read Grammar.search_plans.
+SMALL_GRAMMAR_OUTCOMES = [
+    ("a", "(S3 (A1))", "found", 2, 3),
+    ("a b", "(S2)", "found", 1, 1),
+    ("b b", "(S3 (A3 (B1) (B1)))", "found", 3, 7),
+    ("a b a b", "(S1 (A1) (S2))", "found", 2, 4),
+    ("c c a b b b", "(S1 (A2 (A2 (A1))) (S3 (A3 (B1) (B1))))", "found", 4, 19),
+    ("b b b a b", "(S1 (A3 (B1) (B1)) (S2))", "found", 3, 9),
+    ("a a", None, "exhausted", 8, 21),
+    ("c", None, "exhausted", 8, 15),
+    ("b", None, "exhausted", 8, 15),
+]
+
+
+def test_small_grammar_outcomes_are_pinned():
+    g = _small_grammar()
+    cfg = SearchConfig(max_depth=8, time_limit_s=60)
+    got = []
+    for text, *_ in SMALL_GRAMMAR_OUTCOMES:
+        res = iddfs_parse(g, g.encode(text), cfg)
+        tree = serialize(g, res.tree) if res.tree is not None else None
+        got.append((text, tree, res.status, res.depth_limit, res.nodes_expanded))
+    assert got == SMALL_GRAMMAR_OUTCOMES
+
+
+def _nodes(t):
+    yield t
+    for c in t.children:
+        yield from _nodes(c)
+
+
+def test_results_share_small_subtrees():
+    g = build_grammar()  # a fresh grammar: its table holds these results only
+    cfg = SearchConfig(max_depth=16, time_limit_s=600)
+    corpus = sample_corpus(g, SampleBucket(4, 14, 1, 11, seed=34), 60)
+    trees = [iddfs_parse(g, tokens, cfg).tree for tokens, _ in corpus]
+    for tree, (tokens, truth) in zip(trees, corpus):
+        assert tree == truth
+        assert serialize(g, tree) == serialize(g, truth)
+        assert pretty_print(g, tree) == tokens
+
+    short = g.min_lengths[g.start.id]
+    first = {}  # small subtree -> the first object seen with its value
+    holders = {}  # small subtree -> indices of the results it occurs in
+    for i, tree in enumerate(trees):
+        for node in _nodes(tree):
+            if len(pretty_print(g, node)) < short:
+                assert first.setdefault(node, node) is node
+                holders.setdefault(node, set()).add(i)
+    assert any(len(found_in) > 1 for found_in in holders.values())
+
+    nodes = [node for tree in trees for node in _nodes(tree)]
+    distinct = {id(node): node for node in nodes}
+    for key, uses in Counter(map(id, nodes)).items():
+        if uses > 1:
+            assert len(pretty_print(g, distinct[key])) < short
+    assert len(distinct) <= len(nodes) // 2
+
+    small = enumerated_trees(g, cfg.max_depth, short - 1)
+    assert sum(n for counts in small.values() for n in counts.values()) == 1530
+    assert 0 < len(g._shared) <= 1530
