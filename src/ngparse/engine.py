@@ -9,6 +9,7 @@ keeps the best-scoring partial derivations of each level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
@@ -60,8 +61,8 @@ class InferConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("beam_width", "max_recursion_depth"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.beam_width < 1 or self.max_recursion_depth < 1:
             raise ValueError("beam_width and max_recursion_depth must be >= 1")
 

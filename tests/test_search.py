@@ -2,12 +2,14 @@ import hashlib
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import enumerated_trees
 from ngparse.grammar import Grammar, Nonterminal, ProductionRule, Token, build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
+from ngparse import search
 from ngparse.search import SearchConfig, iddfs_parse
 from ngparse.tree import Ast, pretty_print, serialize
 
@@ -54,6 +56,7 @@ def test_empty_input_rejected(g):
         {"max_depth": -5},
         {"max_depth": 2.5},
         {"max_depth": True},
+        {"max_depth": "24"},
         {"time_limit_s": 0},
         {"time_limit_s": -1},
     ],
@@ -62,6 +65,7 @@ def test_empty_input_rejected(g):
         "negative-depth",
         "float-depth",
         "bool-depth",
+        "str-depth",
         "zero-time-limit",
         "negative-time-limit",
     ],
@@ -69,6 +73,11 @@ def test_empty_input_rejected(g):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         SearchConfig(**kwargs)
+
+
+def test_config_takes_a_numpy_integer_depth(g):
+    res = iddfs_parse(g, g.encode("v0 = 1 ;"), SearchConfig(max_depth=np.int64(24)))
+    assert res.status == "found"
 
 
 def test_median_time_superlinear(g):
@@ -173,8 +182,7 @@ def _nodes(t):
         yield from _nodes(c)
 
 
-def test_results_share_small_subtrees():
-    g = build_grammar()  # a fresh grammar: its table holds these results only
+def _shared_corpus_trees(g):
     cfg = SearchConfig(max_depth=16, time_limit_s=600)
     corpus = sample_corpus(g, SampleBucket(4, 14, 1, 11, seed=34), 60)
     trees = [iddfs_parse(g, tokens, cfg).tree for tokens, _ in corpus]
@@ -182,13 +190,18 @@ def test_results_share_small_subtrees():
         assert tree == truth
         assert serialize(g, tree) == serialize(g, truth)
         assert pretty_print(g, tree) == tokens
+    return trees
 
-    short = g.min_lengths[g.start.id]
+
+def test_results_share_small_subtrees():
+    g = build_grammar()  # a fresh grammar: its table holds these results only
+    trees = _shared_corpus_trees(g)
+    small = search._SHARE_MAX_YIELD
     first = {}  # small subtree -> the first object seen with its value
     holders = {}  # small subtree -> indices of the results it occurs in
     for i, tree in enumerate(trees):
         for node in _nodes(tree):
-            if len(pretty_print(g, node)) < short:
+            if len(pretty_print(g, node)) <= small:
                 assert first.setdefault(node, node) is node
                 holders.setdefault(node, set()).add(i)
     assert any(len(found_in) > 1 for found_in in holders.values())
@@ -197,9 +210,34 @@ def test_results_share_small_subtrees():
     distinct = {id(node): node for node in nodes}
     for key, uses in Counter(map(id, nodes)).items():
         if uses > 1:
-            assert len(pretty_print(g, distinct[key])) < short
+            assert len(pretty_print(g, distinct[key])) <= small
     assert len(distinct) <= len(nodes) // 2
 
-    small = enumerated_trees(g, cfg.max_depth, short - 1)
-    assert sum(n for counts in small.values() for n in counts.values()) == 1530
-    assert 0 < len(g._shared) <= 1530
+    trees_of_small_yield = enumerated_trees(g, 16, small)
+    assert sum(n for counts in trees_of_small_yield.values() for n in counts.values()) == 1530
+    assert 0 < len(search._shared[g]) <= 1530
+
+
+def test_a_full_share_table_keeps_its_size(monkeypatch):
+    g = build_grammar()
+    monkeypatch.setattr(search, "_SHARE_MAX_ENTRIES", 5)
+    _shared_corpus_trees(g)
+    assert len(search._shared[g]) == 5
+
+
+def test_shared_subtrees_do_not_grow_with_the_shortest_program():
+    """S -> P P P P P; P -> A A A A; A -> a | b: the shortest program has
+    20 tokens, yet only the two one-token leaves are kept, not the 16
+    four-token P trees."""
+    S, P, A = Nonterminal(0, "S"), Nonterminal(1, "P"), Nonterminal(2, "A")
+    a, b = Token(0, "a"), Token(1, "b")
+    table = [("S1", S, (P,) * 5), ("P1", P, (A,) * 4), ("A1", A, (a,)), ("A2", A, (b,))]
+    rules = [ProductionRule(i, name, lhs, rhs) for i, (name, lhs, rhs) in enumerate(table)]
+    g = Grammar((S, P, A), (a, b), rules, S)
+    assert g.min_lengths[S.id] == 20
+    cfg = SearchConfig(max_depth=3, time_limit_s=60)
+    for k in range(16):
+        tokens = tuple((k >> j) & 1 for j in range(4)) * 5
+        res = iddfs_parse(g, tokens, cfg)
+        assert res.status == "found" and pretty_print(g, res.tree) == tokens
+    assert set(search._shared[g]) == {Ast(2, ()), Ast(3, ())}
