@@ -9,11 +9,10 @@ keeps the best-scoring partial derivations of each level.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
-from .grammar import Grammar, Nonterminal
+from .grammar import Grammar, Nonterminal, check_int
 from .guider import GuiderModel, predict_rule_distribution
 from .parser import ParseError, reference_parse
 from .tree import Ast, pretty_print
@@ -60,9 +59,7 @@ class InferConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("beam_width", "max_recursion_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, getattr(self, name))
         if self.beam_width < 1 or self.max_recursion_depth < 1:
             raise ValueError("beam_width and max_recursion_depth must be >= 1")
 

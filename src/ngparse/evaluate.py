@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import InferConfig, InferenceError, infer, model_selector, oracle_selector
-from .grammar import Grammar
+from .grammar import Grammar, check_int
 from .sampler import SampleBucket, UnsatisfiableBucket, derive_seed, sample_corpus
 from .search import SearchConfig, iddfs_parse
 
@@ -93,11 +93,16 @@ def evaluate_grid(
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
     check_methods(methods, model is not None)
+    depths, lengths = sorted(depths), sorted(lengths)
+    # Checked here, because a bucket's ValueError below means an empty cell.
+    for name, values in (("depth", depths), ("length", lengths)):
+        for v in values:
+            check_int(name, v)
 
     runners = {m: _make_runner(g, m, model, search_cfg) for m in methods}
     records = []
-    for d in sorted(depths):
-        for l in sorted(lengths):
+    for d in depths:
+        for l in lengths:
             cell_seed = derive_seed("eval", seed, d, l)
             try:
                 bucket = SampleBucket(l, l, d, d, seed=cell_seed)

@@ -10,6 +10,7 @@ counter, which is what makes hand-coded decomposition possible.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,15 @@ INF = 10**9
 
 class GrammarError(Exception):
     """Hard error for grammar-level precondition violations."""
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an integer: a Python or numpy int,
+    not a bool, a float or a string."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Grammar, Nonterminal
+from .grammar import Grammar, Nonterminal, check_int
 
 __all__ = [
     "GuiderModel",
@@ -447,6 +447,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_emb", "d_h", "batch_size", "iters_per_stage",
+                     "programs_per_stage", "heldout_programs", "eval_every", "seed"):
+            check_int(name, getattr(self, name))
         if min(self.d_emb, self.d_h, self.batch_size, self.programs_per_stage,
                self.heldout_programs, self.eval_every) < 1:
             raise ValueError(

@@ -17,11 +17,12 @@ curriculum schedule.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar, GrammarError, Nonterminal
+from .grammar import Grammar, GrammarError, Nonterminal, check_int
 from .tree import Ast, pretty_print
 
 __all__ = [
@@ -55,6 +56,8 @@ class SampleBucket:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("min_length", "max_length", "min_depth", "max_depth", "seed"):
+            check_int(name, getattr(self, name))
         if not MIN_PROGRAM_LENGTH <= self.min_length <= self.max_length:
             raise ValueError(f"bad length range: {self}")
         if not 1 <= self.min_depth <= self.max_depth:
@@ -178,26 +181,20 @@ class _CountTable:
         return [a - b for a, b in zip(leq[d], leq[d - 1])] if exact else leq[d]
 
 
-# Count tables, least recently used first, keyed by (rule fingerprint,
-# vocabulary fingerprint, depth cap, length cap): grammars with the same
-# rules and vocabulary share a table (the fingerprints are how model files
-# identify a grammar too), and the cache stays small however many grammars
-# are built.
-_TABLES = {}
-_MAX_TABLES = 8
+# One count table per grammar, going with its grammar. A count within a
+# table's caps does not depend on the caps, so a request past them
+# replaces the table with one as large as both and the draws stay the same.
+_tables = weakref.WeakKeyDictionary()
 
 
 def _table(g: Grammar, max_depth: int, max_length: int) -> _CountTable:
-    # Round caps up so nearby requests share one table.
-    max_depth = max(max_depth, 8)
-    max_length = max(max_length, 16)
-    key = (g.rule_fingerprint(), g.vocab_fingerprint(), max_depth, max_length)
-    t = _TABLES.pop(key, None)
+    t = _tables.get(g)
     if t is None:
-        t = _CountTable(g, max_depth, max_length)
-        if len(_TABLES) >= _MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]
-    _TABLES[key] = t
+        t = _tables[g] = _CountTable(g, max_depth, max_length)
+    elif t.max_depth < max_depth or t.max_length < max_length:
+        t = _tables[g] = _CountTable(
+            g, max(max_depth, t.max_depth), max(max_length, t.max_length)
+        )
     return t
 
 

@@ -17,7 +17,7 @@ import time
 import weakref
 from dataclasses import dataclass
 
-from .grammar import Grammar
+from .grammar import Grammar, check_int
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -38,13 +38,14 @@ class SearchConfig:
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
-        depth = self.max_depth
-        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
-            raise ValueError(f"max_depth must be an integer, got {depth!r}")
-        if depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {depth}")
-        if not self.time_limit_s > 0:
-            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
+        check_int("max_depth", self.max_depth)
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        limit = self.time_limit_s
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
+            raise ValueError(f"time_limit_s must be a number, got {limit!r}")
+        if not limit > 0:
+            raise ValueError(f"time_limit_s must be > 0, got {limit}")
 
 
 @dataclass(slots=True)

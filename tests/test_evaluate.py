@@ -45,6 +45,15 @@ def test_per_cell_validation(g):
         evaluate_grid(g, ["bogus"], [7], [8], per_cell=1, seed=0)
     with pytest.raises(ValueError):
         evaluate_grid(g, ["ngsi"], [7], [8], per_cell=1, seed=0)  # no model
+    with pytest.raises(ValueError, match="depth must be an integer, got 7.0"):
+        evaluate_grid(g, ["oracle"], [7.0], [8], per_cell=1, seed=0)
+    with pytest.raises(ValueError, match="length must be an integer, got True"):
+        evaluate_grid(g, ["oracle"], [7], [8, True], per_cell=1, seed=0)
+    # An integer no bucket takes is an empty cell, not an error.
+    [record] = evaluate_grid(g, ["oracle"], [0], [8], per_cell=1, seed=0)
+    assert record.count == 0
+    # The check reads the axes once, so iterators still give every cell.
+    assert len(evaluate_grid(g, ["oracle"], iter([7]), iter([8, 9]), per_cell=1, seed=0)) == 2
 
 
 def test_csv_lines_are_exact(g, tmp_path):

@@ -523,11 +523,22 @@ def test_zero_iterations_returns_init(g):
 @pytest.mark.parametrize(
     "field,value",
     [("d_emb", 0), ("d_h", 0), ("batch_size", 0), ("programs_per_stage", 0),
-     ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1), ("seed", -1)],
+     ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1), ("seed", -1),
+     ("batch_size", 2.5), ("d_h", True), ("iters_per_stage", 1.5), ("seed", 0.5),
+     ("eval_every", "5"), ("d_emb", np.float64(8))],
 )
 def test_train_config_rejects_bad_sizes(field, value):
-    with pytest.raises(ValueError, match=rf"must be >= \d: TrainConfig\(.*\b{field}={value}[,)]"):
+    if type(value) is int:
+        match = rf"must be >= \d: TrainConfig\(.*\b{field}={value}[,)]"
+    else:
+        match = rf"{field} must be an integer, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=match):
         TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(batch_size=np.int64(8), seed=np.uint32(3))
+    assert (cfg.batch_size, cfg.seed) == (8, 3)
 
 
 def test_training_log_deterministic(g):

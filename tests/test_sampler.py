@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -72,6 +74,12 @@ def test_bucket_validation():
         SampleBucket(5, 10, 5, 2)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SampleBucket(5, 10, 1, 9, seed=-1)
+    for args, field in [((5.5, 8, 1, 9), "min_length"), ((5, "8", 1, 9), "max_length"),
+                        ((5, 8, True, 9), "min_depth"), ((5, 8, 1, 9.0), "max_depth"),
+                        ((5, 8, 1, 9, 1.5), "seed")]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SampleBucket(*args)
+    assert SampleBucket(*map(np.int64, (5, 8, 1, 9, 2))).max_depth == 9
 
 
 def test_exact_cell_sampling(g):
@@ -185,14 +193,39 @@ def test_pairs_file_lines_are_exact(g, tmp_path):
     ]
 
 
-def test_equal_grammars_share_one_count_table():
+def test_each_grammar_has_its_own_count_table():
     g1, g2 = build_grammar(), build_grammar()
-    assert sampler._table(g1, 9, 15) is sampler._table(g2, 9, 15)
     bucket = SampleBucket(5, 15, 1, 9, seed=17)
     assert sample_corpus(g1, bucket, 20) == sample_corpus(g2, bucket, 20)
-    for max_depth in range(8, 8 + 2 * sampler._MAX_TABLES):
-        sampler._table(g1, max_depth, 16)
-    assert len(sampler._TABLES) == sampler._MAX_TABLES
+    tab = sampler._table(g1, 9, 15)
+    assert tab is not sampler._table(g2, 9, 15)
+    freed = weakref.ref(tab)
+    del g1, tab
+    gc.collect()
+    assert freed() is None
+
+
+def test_count_table_grows_past_its_caps():
+    g = build_grammar()
+    tab = sampler._table(g, 9, 15)
+    grown = sampler._table(g, 8, 20)
+    assert grown is not tab and (grown.max_depth, grown.max_length) == (9, 20)
+    assert sampler._table(g, 9, 15) is grown
+
+
+def _corpus_text(g, buckets) -> str:
+    return "".join(
+        f"{g.decode(tokens)}\t{serialize(g, t)}\n"
+        for b in buckets
+        for tokens, t in sample_corpus(g, b, 20)
+    )
+
+
+def test_a_grown_count_table_draws_the_same_corpus():
+    buckets = PINNED_BUCKETS + tuple(curriculum_schedule(4, base_seed=3, repeats=1))
+    fresh, grown = build_grammar(), build_grammar()
+    sampler._table(grown, 16, 45)
+    assert _corpus_text(fresh, buckets) == _corpus_text(grown, buckets)
 
 
 def _enumerated_counts(g, max_depth, max_length):
@@ -251,7 +284,7 @@ def test_draws_are_pinned(g):
     h = hashlib.sha256()
     for nt in g.nonterminals:
         for d in (1, 2):
-            for l in range(tab.max_length + 1):
+            for l in range(17):
                 for exact in (True, False):
                     if not (tab.exact(nt.id, d, l) if exact else tab.leq[nt.id][d][l]):
                         continue

@@ -59,6 +59,8 @@ def test_empty_input_rejected(g):
         {"max_depth": "24"},
         {"time_limit_s": 0},
         {"time_limit_s": -1},
+        {"time_limit_s": "5"},
+        {"time_limit_s": True},
     ],
     ids=[
         "zero-depth",
@@ -68,6 +70,8 @@ def test_empty_input_rejected(g):
         "str-depth",
         "zero-time-limit",
         "negative-time-limit",
+        "str-time-limit",
+        "bool-time-limit",
     ],
 )
 def test_config_rejects_bad_values(kwargs):
