@@ -71,14 +71,16 @@ def _config(cls, args, **fields):
 
 def _parse_range(text: str, flag: str) -> list:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(p) for p in text.split(",")]
+        if ".." not in text:
+            return [int(p) for p in text.split(",")]
+        lo, hi = (int(p) for p in text.split(".."))
+        if lo <= hi:
+            return list(range(lo, hi + 1))
     except ValueError:
-        raise _UsageError(
-            f"{flag} expects lo..hi or a comma list of integers, got {text!r}"
-        ) from None
+        pass
+    raise _UsageError(
+        f"{flag} expects lo..hi with lo <= hi or a comma list of integers, got {text!r}"
+    )
 
 
 def _apply_config_file(argv: list) -> list:

@@ -59,9 +59,7 @@ class InferConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("beam_width", "max_recursion_depth"):
-            check_int(name, getattr(self, name))
-        if self.beam_width < 1 or self.max_recursion_depth < 1:
-            raise ValueError("beam_width and max_recursion_depth must be >= 1")
+            check_int(name, getattr(self, name), 1)
 
 
 def model_selector(g: Grammar, model: GuiderModel):

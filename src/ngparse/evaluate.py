@@ -90,10 +90,10 @@ def evaluate_grid(
     Infeasible cells (no derivation at that exact depth and length) are
     emitted with count 0. All methods in a cell see the same programs.
     """
-    if per_cell < 1:
-        raise ValueError("per_cell must be >= 1")
+    check_int("per_cell", per_cell, 1)
     check_methods(methods, model is not None)
-    depths, lengths = sorted(depths), sorted(lengths)
+    # Largest cell first, so the sampler builds one count table for the grid.
+    depths, lengths = sorted(depths, reverse=True), sorted(lengths, reverse=True)
     # Checked here, because a bucket's ValueError below means an empty cell.
     for name, values in (("depth", depths), ("length", lengths)):
         for v in values:

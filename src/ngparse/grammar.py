@@ -32,13 +32,34 @@ class GrammarError(Exception):
     """Hard error for grammar-level precondition violations."""
 
 
-def check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an integer: a Python or numpy int,
-    not a bool, a float or a string."""
+def check_int(name: str, value, minimum=None) -> None:
+    """Raise ValueError unless value is an integer (a Python or numpy int,
+    not a bool, a float or a string) and, when minimum is given, at least
+    minimum."""
     if type(value) is not int and (
         isinstance(value, bool) or not isinstance(value, numbers.Integral)
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_number(name: str, value, minimum=None, above=None, below=None) -> None:
+    """Raise ValueError unless value is a real number (a Python or numpy
+    float or int, not a bool or a string) that meets each bound given:
+    value >= minimum, value > above, value < below. NaN meets no bound."""
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (
+        (minimum is None or value >= minimum)
+        and (above is None or value > above)
+        and (below is None or value < below)
+    ):
+        bounds = ((">=", minimum), (">", above), ("<", below))
+        rule = " and ".join(f"{op} {b}" for op, b in bounds if b is not None)
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)

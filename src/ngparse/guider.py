@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Grammar, Nonterminal, check_int
+from .grammar import Grammar, Nonterminal, check_int, check_number
 
 __all__ = [
     "GuiderModel",
@@ -111,6 +111,9 @@ def init_model(
 ) -> GuiderModel:
     """Uniform [-1/sqrt(d_h), 1/sqrt(d_h)] matrices, zero biases, drawn in
     _SHAPES order."""
+    check_int("d_emb", d_emb, 1)
+    check_int("d_h", d_h, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d_h)
     dims = {"V": len(g.vocabulary), "R": len(g.rules), "d_emb": d_emb, "d_h": d_h}
@@ -447,19 +450,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_emb", "d_h", "batch_size", "iters_per_stage",
-                     "programs_per_stage", "heldout_programs", "eval_every", "seed"):
-            check_int(name, getattr(self, name))
-        if min(self.d_emb, self.d_h, self.batch_size, self.programs_per_stage,
-               self.heldout_programs, self.eval_every) < 1:
-            raise ValueError(
-                "d_emb, d_h, batch_size, programs_per_stage, heldout_programs "
-                f"and eval_every must be >= 1: {self}"
-            )
-        if self.iters_per_stage < 0:
-            raise ValueError(f"iters_per_stage must be >= 0: {self}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0: {self}")
+        for name, minimum in (("d_emb", 1), ("d_h", 1), ("batch_size", 1),
+                              ("iters_per_stage", 0), ("programs_per_stage", 1),
+                              ("heldout_programs", 1), ("eval_every", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        # Adam needs a finite step size above 0 and betas in [0, 1).
+        check_number("lr", self.lr, above=0, below=math.inf)
+        for name in ("beta1", "beta2"):
+            check_number(name, getattr(self, name), minimum=0, below=1)
+        # Any number: one above 1 turns early stopping off.
+        check_number("early_stop_acc", self.early_stop_acc)
 
 
 def _step_accuracy(g: Grammar, m: GuiderModel, pairs, chunk: int = 512) -> float:

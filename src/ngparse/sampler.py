@@ -56,14 +56,13 @@ class SampleBucket:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("min_length", "max_length", "min_depth", "max_depth", "seed"):
+        for name in ("min_length", "max_length", "min_depth", "max_depth"):
             check_int(name, getattr(self, name))
+        check_int("seed", self.seed, 0)
         if not MIN_PROGRAM_LENGTH <= self.min_length <= self.max_length:
             raise ValueError(f"bad length range: {self}")
         if not 1 <= self.min_depth <= self.max_depth:
             raise ValueError(f"bad depth range: {self}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -299,6 +298,7 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
     cells; the tree is uniform among derivations of that exact pair.
     Reproducible from bucket.seed when no rng is passed.
     """
+    check_int("n", n, 0)
     if rng is None:
         rng = np.random.default_rng(bucket.seed)
     tab = _table(g, bucket.max_depth, bucket.max_length)
@@ -348,8 +348,8 @@ def curriculum_schedule(stages: int, base_seed: int = 0, repeats: int = 3) -> li
     this grammar all have depth >= 7; a shallower stage bucket would be
     unsatisfiable.
     """
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
+    check_int("stages", stages, 1)
+    check_int("repeats", repeats, 1)
     buckets = []
     for rep in range(repeats):
         for i in range(stages):

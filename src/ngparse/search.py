@@ -12,12 +12,11 @@ results: compare them with ``==``.
 
 from __future__ import annotations
 
-import numbers
 import time
 import weakref
 from dataclasses import dataclass
 
-from .grammar import Grammar, check_int
+from .grammar import Grammar, check_int, check_number
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -38,14 +37,8 @@ class SearchConfig:
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
-        check_int("max_depth", self.max_depth)
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        limit = self.time_limit_s
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
-            raise ValueError(f"time_limit_s must be a number, got {limit!r}")
-        if not limit > 0:
-            raise ValueError(f"time_limit_s must be > 0, got {limit}")
+        check_int("max_depth", self.max_depth, 1)
+        check_number("time_limit_s", self.time_limit_s, above=0)
 
 
 @dataclass(slots=True)

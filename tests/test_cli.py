@@ -223,6 +223,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
         (["eval", "--methods", "oracle", "--depths", "7.."], "--depths"),
         (["eval", "--methods", "oracle", "--lengths", "8,ten"], "--lengths"),
         (["eval", "--model", "absent.bin", "--methods", "oracle", "--depths", "7.."], "--depths"),
+        (["eval", "--methods", "oracle", "--depths", "9..6"], "--depths"),
     ],
 )
 def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
@@ -241,8 +242,8 @@ def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
         (["infer", "--model", "absent.bin", "--beam-width", "0"], "argument --beam-width:"),
         (["eval", "--methods", "oracle", "--per-cell", "0"], "argument --per-cell:"),
         (["train", "--stages", "0"], "argument --stages: expected an integer >= 1"),
-        (["train", "--batch-size", "0"], "d_emb, d_h, batch_size"),
-        (["train", "--programs-per-stage", "0"], "d_emb, d_h, batch_size"),
+        (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["train", "--programs-per-stage", "0"], "programs_per_stage must be >= 1, got 0"),
         (["search", "--max-depth", "0"], "max_depth must be >= 1"),
         (["search", "--time-limit", "-1"], "time_limit_s must be > 0"),
         (["eval", "--methods", "search", "--search-max-depth", "0"], "max_depth must be >= 1"),
@@ -251,11 +252,17 @@ def test_non_integer_range_is_a_usage_error(args, flag, tmp_path):
         (["gen", "--bucket", "5:15:1:9", "--n", "1", "--seed", "-1"],
          "--bucket '5:15:1:9': seed must be >= 0"),
         (["train", "--seed", "-1"], "seed must be >= 0"),
+        (["train", "--lr", "-0.1"], "lr must be > 0 and < inf, got -0.1"),
+        (["train", "--lr", "nan"], "lr must be > 0 and < inf, got nan"),
+        (["train", "--beta1", "1.5"], "beta1 must be >= 0 and < 1, got 1.5"),
+        (["train", "--beta1", "1"], "beta1 must be >= 0 and < 1, got 1.0"),
+        (["train", "--beta2", "-1"], "beta2 must be >= 0 and < 1, got -1.0"),
     ],
     ids=["bucket-range", "negative-n", "zero-beam-width", "zero-per-cell", "zero-stages",
          "zero-batch-size", "zero-programs-per-stage", "zero-search-depth",
          "negative-time-limit", "zero-eval-search-depth", "unknown-method",
-         "ngsi-without-model", "negative-gen-seed", "negative-train-seed"],
+         "ngsi-without-model", "negative-gen-seed", "negative-train-seed",
+         "negative-lr", "nan-lr", "beta1-above-1", "beta1-of-1", "negative-beta2"],
 )
 def test_out_of_range_value_is_a_usage_error(args, prefix, tmp_path):
     out = tmp_path / "out"

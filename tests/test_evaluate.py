@@ -1,6 +1,8 @@
 import pytest
 
+from ngparse import sampler
 from ngparse.evaluate import EvalRecord, evaluate_grid, write_csv
+from ngparse.grammar import build_grammar
 from ngparse.search import SearchConfig
 
 
@@ -49,11 +51,27 @@ def test_per_cell_validation(g):
         evaluate_grid(g, ["oracle"], [7.0], [8], per_cell=1, seed=0)
     with pytest.raises(ValueError, match="length must be an integer, got True"):
         evaluate_grid(g, ["oracle"], [7], [8, True], per_cell=1, seed=0)
+    # A bad count is an error, not a grid of empty cells.
+    with pytest.raises(ValueError, match="per_cell must be an integer, got 2.5"):
+        evaluate_grid(g, ["oracle"], [7], [8], per_cell=2.5, seed=0)
     # An integer no bucket takes is an empty cell, not an error.
     [record] = evaluate_grid(g, ["oracle"], [0], [8], per_cell=1, seed=0)
     assert record.count == 0
     # The check reads the axes once, so iterators still give every cell.
     assert len(evaluate_grid(g, ["oracle"], iter([7]), iter([8, 9]), per_cell=1, seed=0)) == 2
+
+
+def test_grid_builds_one_count_table(monkeypatch):
+    built = []
+
+    class Counted(sampler._CountTable):
+        def __init__(self, g, max_depth, max_length):
+            built.append((max_depth, max_length))
+            super().__init__(g, max_depth, max_length)
+
+    monkeypatch.setattr(sampler, "_CountTable", Counted)
+    evaluate_grid(build_grammar(), ["oracle"], range(7, 10), range(8, 13), per_cell=1, seed=0)
+    assert built == [(9, 12)]
 
 
 def test_csv_lines_are_exact(g, tmp_path):

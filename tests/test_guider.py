@@ -525,13 +525,20 @@ def test_zero_iterations_returns_init(g):
     [("d_emb", 0), ("d_h", 0), ("batch_size", 0), ("programs_per_stage", 0),
      ("heldout_programs", 0), ("eval_every", 0), ("iters_per_stage", -1), ("seed", -1),
      ("batch_size", 2.5), ("d_h", True), ("iters_per_stage", 1.5), ("seed", 0.5),
-     ("eval_every", "5"), ("d_emb", np.float64(8))],
+     ("eval_every", "5"), ("d_emb", np.float64(8)),
+     ("lr", -0.1), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("lr", "0.1"),
+     ("beta1", 1.5), ("beta1", 1.0), ("beta1", True), ("beta2", -1.0), ("beta2", math.nan),
+     ("early_stop_acc", "0.9")],
 )
 def test_train_config_rejects_bad_sizes(field, value):
+    rate = field in ("lr", "beta1", "beta2", "early_stop_acc")
     if type(value) is int:
-        match = rf"must be >= \d: TrainConfig\(.*\b{field}={value}[,)]"
+        match = rf"{field} must be >= \d, got {value}$"
+    elif rate and type(value) is float:
+        match = rf"{field} must be [^,]+, got {value}$"
     else:
-        match = rf"{field} must be an integer, got {re.escape(repr(value))}"
+        kind = "a number" if rate else "an integer"
+        match = rf"{field} must be {kind}, got {re.escape(repr(value))}"
     with pytest.raises(ValueError, match=match):
         TrainConfig(**{field: value})
 
@@ -539,6 +546,22 @@ def test_train_config_rejects_bad_sizes(field, value):
 def test_train_config_takes_numpy_integers():
     cfg = TrainConfig(batch_size=np.int64(8), seed=np.uint32(3))
     assert (cfg.batch_size, cfg.seed) == (8, 3)
+
+
+def test_train_config_takes_rates_at_their_bounds():
+    cfg = TrainConfig(lr=1, beta1=0, beta2=np.float32(0.999), early_stop_acc=2.0)
+    assert (cfg.lr, cfg.beta1, cfg.early_stop_acc) == (1, 0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [({"d_emb": 0}, "d_emb must be >= 1, got 0"), ({"d_h": 0}, "d_h must be >= 1, got 0"),
+     ({"d_h": 2.5}, "d_h must be an integer, got 2.5"), ({"seed": -1}, "seed must be >= 0, got -1")],
+    ids=["zero-d-emb", "zero-d-h", "float-d-h", "negative-seed"],
+)
+def test_init_model_rejects_bad_sizes(g, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        init_model(g, **kwargs)
 
 
 def test_training_log_deterministic(g):

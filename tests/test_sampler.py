@@ -82,6 +82,15 @@ def test_bucket_validation():
     assert SampleBucket(*map(np.int64, (5, 8, 1, 9, 2))).max_depth == 9
 
 
+def test_sample_corpus_rejects_bad_counts(g):
+    bucket = SampleBucket(5, 10, 1, 9)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        sample_corpus(g, bucket, 2.5)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        sample_corpus(g, bucket, -1)
+    assert sample_corpus(g, bucket, np.int64(0)) == []
+
+
 def test_exact_cell_sampling(g):
     bucket = SampleBucket(15, 15, 11, 11, seed=7)
     for tokens, tree in sample_corpus(g, bucket, 25):
@@ -139,6 +148,16 @@ def test_curriculum_degenerate(g):
     assert len(sched) == 3
     for b in sched:
         assert (b.min_length, b.max_length, b.min_depth, b.max_depth) == (5, 15, 1, 9)
+
+
+def test_curriculum_rejects_bad_counts():
+    for kwargs, match in [({"stages": 0}, "stages must be >= 1, got 0"),
+                          ({"stages": 1.5}, "stages must be an integer"),
+                          ({"stages": 2, "repeats": 0}, "repeats must be >= 1, got 0"),
+                          ({"stages": 2, "repeats": -1}, "repeats must be >= 1, got -1"),
+                          ({"stages": 2, "repeats": 2.5}, "repeats must be an integer")]:
+        with pytest.raises(ValueError, match=match):
+            curriculum_schedule(**kwargs)
 
 
 def test_curriculum_seeds_distinct():
