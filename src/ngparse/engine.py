@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
-from .grammar import Grammar, Nonterminal, check_int
+from .grammar import Grammar, Nonterminal, check_int, is_int
 from .guider import GuiderModel, predict_rule_distribution
 from .parser import ParseError, reference_parse
 from .tree import Ast, pretty_print
@@ -121,13 +121,13 @@ def infer(
     (top-ranked rule only) search them depth first; beam keeps the
     best-scoring partial derivations of each level. An empty input, or one
     with a token id outside the vocabulary, raises Unparseable before any
-    work.
+    work; so does a token id that is not an integer.
     """
     tokens = tuple(tokens)
     if not tokens:
         raise Unparseable("empty input")
     for pos, tok in enumerate(tokens):
-        if not 0 <= tok < len(g.vocabulary):
+        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
             raise Unparseable(f"token id {tok} at position {pos} is not in the vocabulary")
     if nt is None:
         nt = g.start

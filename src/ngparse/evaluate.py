@@ -16,7 +16,13 @@ import numpy as np
 
 from .engine import InferConfig, InferenceError, infer, model_selector, oracle_selector
 from .grammar import Grammar, check_int
-from .sampler import SampleBucket, UnsatisfiableBucket, derive_seed, sample_corpus
+from .sampler import (
+    MIN_PROGRAM_LENGTH,
+    SampleBucket,
+    UnsatisfiableBucket,
+    derive_seed,
+    sample_corpus,
+)
 from .search import SearchConfig, iddfs_parse
 
 __all__ = ["EvalRecord", "check_methods", "evaluate_grid", "write_csv"]
@@ -88,27 +94,29 @@ def evaluate_grid(
     """One EvalRecord per (method, depth, length) cell.
 
     Infeasible cells (no derivation at that exact depth and length) are
-    emitted with count 0. All methods in a cell see the same programs.
+    emitted with count 0. A depth or length given twice is one cell. All
+    methods in a cell see the same programs.
     """
     check_int("per_cell", per_cell, 1)
     check_methods(methods, model is not None)
-    # Largest cell first, so the sampler builds one count table for the grid.
-    depths, lengths = sorted(depths, reverse=True), sorted(lengths, reverse=True)
-    # Checked here, because a bucket's ValueError below means an empty cell.
+    depths, lengths = list(depths), list(lengths)
     for name, values in (("depth", depths), ("length", lengths)):
         for v in values:
             check_int(name, v)
 
     runners = {m: _make_runner(g, m, model, search_cfg) for m in methods}
     records = []
-    for d in depths:
-        for l in lengths:
-            cell_seed = derive_seed("eval", seed, d, l)
-            try:
-                bucket = SampleBucket(l, l, d, d, seed=cell_seed)
-                programs = sample_corpus(g, bucket, per_cell)
-            except (UnsatisfiableBucket, ValueError):
-                programs = []
+    # Largest cell first, so the sampler builds one count table for the grid.
+    for d in sorted(set(depths), reverse=True):
+        for l in sorted(set(lengths), reverse=True):
+            programs = []
+            # no program is shallower than 1 or shorter than MIN_PROGRAM_LENGTH
+            if d >= 1 and l >= MIN_PROGRAM_LENGTH:
+                try:
+                    bucket = SampleBucket(l, l, d, d, seed=derive_seed("eval", seed, d, l))
+                    programs = sample_corpus(g, bucket, per_cell)
+                except UnsatisfiableBucket:
+                    pass
             for method in methods:
                 if not programs:
                     records.append(EvalRecord(method, d, l, 0, 0.0, 0.0, 0.0))

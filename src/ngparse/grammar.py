@@ -32,13 +32,18 @@ class GrammarError(Exception):
     """Hard error for grammar-level precondition violations."""
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float or a
+    string. Checks for counts and token ids both use it."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
 def check_int(name: str, value, minimum=None) -> None:
-    """Raise ValueError unless value is an integer (a Python or numpy int,
-    not a bool, a float or a string) and, when minimum is given, at least
-    minimum."""
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
+    """Raise ValueError unless value is an integer (see is_int) and, when
+    minimum is given, at least minimum."""
+    if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

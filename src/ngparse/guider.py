@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Grammar, Nonterminal, check_int, check_number
+from .grammar import Grammar, Nonterminal, check_int, check_number, is_int
 
 __all__ = [
     "GuiderModel",
@@ -217,7 +217,7 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
         if len(s) == 0:
             raise GuiderError("empty token sequence")
         for tid in s:
-            if not 0 <= tid < V:
+            if not (is_int(tid) and 0 <= tid < V):
                 raise GuiderError(f"unknown token id {tid}")
     lengths = np.array([len(s) for s in seqs])
     order = np.argsort(-lengths, kind="stable")
@@ -285,13 +285,6 @@ def _backward_encoder(m: GuiderModel, cache, dh):
     return {"embedding": d_emb, **_gate_views(X.T @ D, dU_zr, dU_h, D.sum(axis=0))}
 
 
-def _rule_masks(g: Grammar) -> np.ndarray:
-    masks = np.zeros((len(g.nonterminals), len(g.rules)), dtype=bool)
-    for r in g.rules:
-        masks[r.lhs.id, r.id] = True
-    return masks
-
-
 def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarray:
     """Final hidden state of the encoder for one token sequence.
 
@@ -311,12 +304,14 @@ def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarra
     proj = node.setdefault("proj", {})
     h = np.zeros((1, m.U_h.shape[0]), dtype=emb.dtype)
     for tid in tokens:
+        # checked at every token: a float equal to an id already in the
+        # tables (18.0 after token 18) would find that id's entries
+        if not (is_int(tid) and 0 <= tid < emb.shape[0]):
+            raise GuiderError(f"unknown token id {tid}")
         entry = node.get(tid)
         if entry is None:
             xw = proj.get(tid)
             if xw is None:
-                if not 0 <= tid < emb.shape[0]:
-                    raise GuiderError(f"unknown token id {tid}")
                 xw = proj[tid] = emb[[tid]] @ m.W
             entry = node[tid] = (_gru_step(m.U_zr, m.U_h, m.b, xw, h)[0], {})
         h, node = entry
@@ -340,42 +335,44 @@ def predict_rule_distribution(
     return probs
 
 
+def _masked_logits(g: Grammar, m: GuiderModel, pairs, want_cache: bool):
+    """(logits, final states, cache) for a batch of TrainingPair: the
+    output layer's logits over all rules, -inf where a rule's lhs is not
+    the pair's nonterminal, and _forward's final states and cache."""
+    h, cache = _forward(m, [p.tokens for p in pairs], want_cache)
+    logits = h @ m.params["W_out"] + m.params["b_out"]
+    lhs = np.array([r.lhs.id for r in g.rules])
+    applicable = lhs == np.array([p.nt.id for p in pairs])[:, None]
+    return np.where(applicable, logits, -np.inf), h, cache
+
+
 def loss_and_gradients(g: Grammar, batch, m: GuiderModel):
     """Mean masked cross-entropy over a batch of TrainingPair, with exact
     gradients for every parameter."""
     if not batch:
         raise GuiderError("empty batch")
-    masks = _rule_masks(g)
-    n_nt, n_rules = masks.shape
     for p in batch:
-        if not (0 <= p.nt.id < n_nt and 0 <= p.rule_id < n_rules
-                and masks[p.nt.id, p.rule_id]):
+        if not (0 <= p.nt.id < len(g.nonterminals) and 0 <= p.rule_id < len(g.rules)
+                and g.rules[p.rule_id].lhs.id == p.nt.id):
             raise GuiderError(
                 f"label {p.rule_id} not applicable for {p.nt.name}"
             )
-    params = m.params
-    seqs = [p.tokens for p in batch]
-    h, cache = _forward(m, seqs, want_cache=True)
-    logits = h @ params["W_out"] + params["b_out"]
+    ml, h, cache = _masked_logits(g, m, batch, want_cache=True)
 
     B = len(batch)
-    batch_mask = masks[[p.nt.id for p in batch]]
     labels = np.array([p.rule_id for p in batch])
-    neg = np.full_like(logits, -np.inf)
-    ml = np.where(batch_mask, logits, neg)
     mx = ml.max(axis=1, keepdims=True)
     e = np.exp(ml - mx)
     Z = e.sum(axis=1, keepdims=True)
-    probs = e / Z
     logp = (ml - mx) - np.log(Z)
     loss = float(-logp[np.arange(B), labels].mean())
 
-    dlogits = probs.copy()
+    # the softmax, whose masked entries exp(-inf) already made exactly 0
+    dlogits = e / Z
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
-    dlogits = np.where(batch_mask, dlogits, 0.0).astype(logits.dtype)
 
-    dh = dlogits @ params["W_out"].T
+    dh = dlogits @ m.params["W_out"].T
     grads = _backward_encoder(m, cache, dh)
     grads["W_out"] = h.T @ dlogits
     grads["b_out"] = dlogits.sum(axis=0)
@@ -462,19 +459,12 @@ class TrainConfig:
         check_number("early_stop_acc", self.early_stop_acc)
 
 
-def _step_accuracy(g: Grammar, m: GuiderModel, pairs, chunk: int = 512) -> float:
-    masks = _rule_masks(g)
+def _step_accuracy(g: Grammar, m: GuiderModel, pairs) -> float:
     correct = 0
-    for lo in range(0, len(pairs), chunk):
-        part = pairs[lo : lo + chunk]
-        h, _ = _forward(m, [p.tokens for p in part], want_cache=False)
-        logits = h @ m.params["W_out"] + m.params["b_out"]
-        bm = masks[[p.nt.id for p in part]]
-        logits = np.where(bm, logits, -np.inf)
-        pred = logits.argmax(axis=1)
-        correct += int(
-            (pred == np.array([p.rule_id for p in part])).sum()
-        )
+    for lo in range(0, len(pairs), 512):
+        part = pairs[lo : lo + 512]
+        pred = _masked_logits(g, m, part, want_cache=False)[0].argmax(axis=1)
+        correct += int((pred == np.array([p.rule_id for p in part])).sum())
     return correct / len(pairs)
 
 

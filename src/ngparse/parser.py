@@ -7,7 +7,7 @@ structurally identical to the generator's and to guided inference output.
 
 from __future__ import annotations
 
-from .grammar import Grammar
+from .grammar import Grammar, is_int
 from .tree import Ast
 
 __all__ = ["ParseError", "reference_parse"]
@@ -163,17 +163,18 @@ def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
     """Parse a token-id sequence into the unique tree rooted at nt.
 
     Raises ParseError (with a furthest-token diagnostic) when no
-    derivation consumes the input exactly or a token id is not in the
-    vocabulary.
+    derivation consumes the input exactly or a token id is not an integer
+    in the vocabulary, and GrammarError for a nonterminal not in g.
     """
     tokens = tuple(tokens)
     if not tokens:
         raise ParseError("empty input", 0)
     for pos, tok in enumerate(tokens):
-        if not 0 <= tok < len(g.vocabulary):
+        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
             raise ParseError(f"token id {tok} is not in the vocabulary", pos)
     if nt is None:
         nt = g.start
+    g.rules_for(nt)
     p = _Parser(g, tokens)
     t, end = _DISPATCH[nt.name](p, 0)
     if end != len(tokens):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grammar import Grammar, GrammarError, Nonterminal, check_int
-from .tree import Ast, pretty_print
+from .tree import Ast, TreeError, pretty_print
 
 __all__ = [
     "SampleBucket",
@@ -319,24 +319,36 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
 
 def extract_training_pairs(g: Grammar, t: Ast) -> list:
     """One (subtree yield, subtree root type, applied rule) per node,
-    in pre-order."""
+    in pre-order. Raises TreeError, as pretty_print does, at the first
+    node in pre-order whose children do not match its rule's rhs."""
     pairs = []
 
-    def walk(node: Ast) -> list:
-        rule = g.rule_by_id(node.rule_id)
+    def walk(node: Ast, rule) -> list:
+        kids = rule.rhs_nonterminals()
+        if len(node.children) != len(kids):
+            raise TreeError(
+                f"{rule.name}: expected {len(kids)} children, got {len(node.children)}"
+            )
         slot = len(pairs)
         pairs.append(None)  # filled once the children's yields are known
         toks = []
         children = iter(node.children)
         for sym in rule.rhs:
             if isinstance(sym, Nonterminal):
-                toks.extend(walk(next(children)))
+                child = next(children)
+                child_rule = g.rule_by_id(child.rule_id)
+                if child_rule.lhs.id != sym.id:
+                    raise TreeError(
+                        f"{rule.name}: child rule {child_rule.name} has lhs "
+                        f"{child_rule.lhs.name}, expected {sym.name}"
+                    )
+                toks.extend(walk(child, child_rule))
             else:
                 toks.append(sym.id)
         pairs[slot] = TrainingPair(tuple(toks), rule.lhs, node.rule_id)
         return toks
 
-    walk(t)
+    walk(t, g.rule_by_id(t.rule_id))
     return pairs
 
 

@@ -16,7 +16,7 @@ import time
 import weakref
 from dataclasses import dataclass
 
-from .grammar import Grammar, check_int, check_number
+from .grammar import Grammar, check_int, check_number, is_int
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -57,10 +57,14 @@ class _Timeout(Exception):
 def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Depth limits 1, 2, ... up to cfg.max_depth; within each, DFS over
     derivations rooted at the start symbol. Timeouts and exhaustion are
-    results, not exceptions."""
+    results, not exceptions; an empty input, or a token id that is not an
+    integer in the vocabulary, raises ValueError."""
     toks = tuple(tokens)
     if not toks:
         raise ValueError("empty input")
+    for pos, tok in enumerate(toks):
+        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
+            raise ValueError(f"token id {tok} at position {pos} is not in the vocabulary")
     n = len(toks)
     min_depth, min_len, plans = g.min_depths, g.min_lengths, g.search_plans
     deadline = time.perf_counter() + cfg.time_limit_s

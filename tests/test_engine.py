@@ -328,9 +328,10 @@ def test_oracle_on_a_non_derivable_input_is_unparseable(g, mode):
 
 def _spans_with_unknown_ids(g):
     """(span, position of its first unknown id): lone ids just outside the
-    vocabulary and far from it, and a valid program with one spliced in."""
+    vocabulary and far from it, ids that are not integers, and a valid
+    program with one spliced in."""
     program = g.encode("if v0 < 1 then v1 = ( 2 + v0 ) ; else v1 = 3 ; endif ;")
-    for bad in (-1, len(g.vocabulary), 999):
+    for bad in (-1, len(g.vocabulary), 999, "v0", 18.0):
         yield (bad,), 0
         yield program[:9] + (bad,) + program[9:], 9
 

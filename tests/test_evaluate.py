@@ -1,6 +1,6 @@
 import pytest
 
-from ngparse import sampler
+from ngparse import cli, evaluate, sampler
 from ngparse.evaluate import EvalRecord, evaluate_grid, write_csv
 from ngparse.grammar import build_grammar
 from ngparse.search import SearchConfig
@@ -59,6 +59,38 @@ def test_per_cell_validation(g):
     assert record.count == 0
     # The check reads the axes once, so iterators still give every cell.
     assert len(evaluate_grid(g, ["oracle"], iter([7]), iter([8, 9]), per_cell=1, seed=0)) == 2
+
+
+def test_a_repeated_depth_is_one_cell(g, monkeypatch):
+    drawn = []
+    sample = sampler.sample_corpus
+
+    def counted(*args, **kwargs):
+        drawn.append(args[1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "sample_corpus", counted)
+    records = evaluate_grid(g, ["oracle"], [7, 7], [8, 8], per_cell=2, seed=0)
+    assert [(r.depth, r.length, r.count) for r in records] == [(7, 8, 2)]
+    assert len(drawn) == 1
+
+
+def test_eval_cli_writes_a_repeated_depth_once(tmp_path):
+    out = tmp_path / "grid.csv"
+    argv = ["eval", "--methods", "oracle", "--depths", "7,7", "--lengths", "8",
+            "--per-cell", "2", "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [["oracle", "7", "8", "2"]]
+
+
+def test_a_sampler_error_propagates(g, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("sampler fault")
+
+    monkeypatch.setattr(evaluate, "sample_corpus", broken)
+    with pytest.raises(ValueError, match="sampler fault"):
+        evaluate_grid(g, ["oracle"], [7], [8], per_cell=1, seed=0)
 
 
 def test_grid_builds_one_count_table(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -23,6 +24,7 @@ from ngparse.guider import (
     predict_rule_distribution,
     save_model,
     train,
+    write_training_log,
 )
 from ngparse.sampler import SampleBucket, TrainingPair, sample_corpus, extract_training_pairs
 
@@ -111,6 +113,14 @@ def test_encode_rejects_unknown_token(g, tiny_model):
         encode(g, (999,), tiny_model)
     with pytest.raises(GuiderError):
         encode(g, (), tiny_model)
+    # ids that are not integers; 18.0 equals the id of the "v0" before it
+    for bad in ("v0", 18.0, True, np.float64(3)):
+        with pytest.raises(GuiderError, match=f"^unknown token id {bad}$"):
+            encode(g, g.encode("v0 =") + (bad,), tiny_model)
+    assert np.array_equal(
+        encode(g, np.array(g.encode("v0 = 1")), tiny_model),
+        encode(g, g.encode("v0 = 1"), tiny_model),
+    )
 
 
 @pytest.mark.parametrize("d_emb,d_h", [(8, 16), (64, 256)])
@@ -265,6 +275,15 @@ def test_inapplicable_label_rejected(g, tiny_model):
     for tokens, nt, rule_id in cases:
         with pytest.raises(GuiderError, match=rf"^label {rule_id} not applicable for {nt.name}$"):
             loss_and_gradients(g, [TrainingPair(tokens, nt, rule_id)], tiny_model)
+
+
+@pytest.mark.parametrize("bad", ["v0", 18.0, -1])
+def test_loss_rejects_token_ids_outside_the_vocabulary(g, tiny_model, bad):
+    const = g.nonterminal("Const")
+    pairs = [TrainingPair(g.encode("3"), const, g.rule_by_name("C4").id),
+             TrainingPair((bad,), const, g.rule_by_name("C4").id)]
+    with pytest.raises(GuiderError, match=f"^unknown token id {bad}$"):
+        loss_and_gradients(g, pairs, tiny_model)
 
 
 def _fd_loss(g, m, pairs, name, idx, delta):
@@ -573,6 +592,30 @@ def test_training_log_deterministic(g):
     _, log1 = train(g, sched, cfg)
     _, log2 = train(g, sched, cfg)
     assert log1 == log2 and len(log1) == 2
+
+
+# sha256 of the model file and of the log that one small train() run
+# writes, recorded before training's loss and held-out accuracy shared one
+# masked head. A change to training's arithmetic changes one of them.
+PINNED_TRAINING_SHA256 = {
+    "model": "1891f0df6b34925dedc2314ff0b28efb0b2589fc340aab7e47c9960a586d6ae4",
+    "log": "8887eee965767a09fcbed0cbb0f3f6c7430df4d5a4c09a7a958cbb6c319d5e6d",
+}
+
+
+def test_training_output_is_pinned(g, tmp_path):
+    from ngparse.sampler import curriculum_schedule
+
+    cfg = TrainConfig(d_emb=8, d_h=16, iters_per_stage=20, programs_per_stage=40,
+                      heldout_programs=10, eval_every=10, seed=5)
+    model, log = train(g, curriculum_schedule(2, base_seed=5, repeats=1), cfg)
+    save_model(model, tmp_path / "m.bin")
+    write_training_log(log, tmp_path / "log.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for name, file in (("model", "m.bin"), ("log", "log.csv"))
+    }
+    assert digests == PINNED_TRAINING_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from ngparse.grammar import GrammarError, Nonterminal
 from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
 from ngparse.tree import pretty_print, serialize
@@ -58,7 +59,7 @@ def test_agreement_with_generator(g):
         assert pretty_print(g, t) == tokens
 
 
-@pytest.mark.parametrize("bad", [-1, 33, 999])  # 33: one past the last id
+@pytest.mark.parametrize("bad", [-1, 33, 999, "v0", 18.0])  # 33: one past the last id
 def test_unknown_token_id_is_a_parse_error(g, bad):
     program = g.encode("v0 = 1 ; v1 = 2 ;")
     for tokens, nt, pos in [
@@ -69,3 +70,8 @@ def test_unknown_token_id_is_a_parse_error(g, bad):
         with pytest.raises(ParseError, match=f"token id {bad} ") as info:
             reference_parse(g, tokens, nt)
         assert info.value.furthest == pos
+
+
+def test_unknown_nonterminal_is_a_grammar_error(g):
+    with pytest.raises(GrammarError, match="unknown nonterminal"):
+        reference_parse(g, g.encode("v0 = 1 ;"), Nonterminal(99, "Ghost"))

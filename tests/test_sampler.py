@@ -24,7 +24,7 @@ from ngparse.sampler import (
     write_corpus,
     write_pairs,
 )
-from ngparse.tree import TreeError, depth, deserialize, node_count, pretty_print, serialize
+from ngparse.tree import Ast, TreeError, depth, deserialize, node_count, pretty_print, serialize
 
 
 def test_minimal_bucket_yields_assignments(g):
@@ -120,6 +120,21 @@ def test_extract_pairs_leaf(g):
     assert len(pairs) == 1
     assert g.decode(pairs[0].tokens) == "v0"
     assert pairs[0].nt.name == "Var"
+
+
+@pytest.mark.parametrize(
+    "tree,match",
+    [(("S1",), "S1: expected 2 children, got 0"),
+     (("V1", ("V1",)), "V1: expected 0 children, got 1"),
+     (("S2", ("V1",)), "S2: child rule V1 has lhs Var, expected SimpStmt")],
+    ids=["missing-children", "extra-child", "wrong-child-lhs"],
+)
+def test_extract_pairs_rejects_malformed_trees(g, tree, match):
+    def build(name, *kids):
+        return Ast(g.rule_by_name(name).id, tuple(build(*k) for k in kids))
+
+    with pytest.raises(TreeError, match=f"^{match}$"):
+        extract_training_pairs(g, build(*tree))
 
 
 def test_pairs_label_consistent_and_yield_correct(g):

@@ -49,6 +49,14 @@ def test_empty_input_rejected(g):
         iddfs_parse(g, ())
 
 
+@pytest.mark.parametrize("bad", [-1, 33, "v0", 18.0, True])
+def test_token_ids_outside_the_vocabulary_rejected(g, bad):
+    # 18.0 equals the id of "v0", so a search comparing it would find "v0 = v0 ;"
+    tokens = g.encode("v0 = 1 ;")
+    with pytest.raises(ValueError, match=f"token id {bad} at position 2 "):
+        iddfs_parse(g, tokens[:2] + (bad,) + tokens[3:])
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
