@@ -98,6 +98,7 @@ def evaluate_grid(
     methods in a cell see the same programs.
     """
     check_int("per_cell", per_cell, 1)
+    check_int("seed", seed, 0)
     check_methods(methods, model is not None)
     depths, lengths = list(depths), list(lengths)
     for name, values in (("depth", depths), ("length", lengths)):

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,7 +118,9 @@ class _CountTable:
     rule_counts and suffixes are memoised on first use; suffixes makes
     every convolution. Count arrays are indexed by yield length up to
     max_length and hold exact Python integers (they overflow floats
-    quickly).
+    quickly). So are the sampler's picks: each rule, plan and child
+    length pick keeps its cumulative weights, the running sums of the
+    trees each choice leaves.
     """
 
     def __init__(self, g: Grammar, max_depth: int, max_length: int):
@@ -126,6 +130,9 @@ class _CountTable:
         self._zeros = [0] * (max_length + 1)
         self._rule_counts = {}
         self._suffixes = {}
+        self._rule_picks = {}
+        self._plan_picks = {}
+        self._length_picks = {}
         self.leq = {nt.id: [self._zeros] for nt in g.nonterminals}
         for d in range(1, max_depth + 1):
             for nt in g.nonterminals:
@@ -173,6 +180,46 @@ class _CountTable:
             out = self._suffixes[key] = (arrays, suffixes[::-1])
         return out
 
+    def rule_pick(self, nt_id: int, d: int, l: int, exact: bool) -> list:
+        """Cumulative weights of nt's rules for a tree of length l at depth
+        <= d (or exactly d)."""
+        key = (nt_id, d, l, exact)
+        cum = self._rule_picks.get(key)
+        if cum is None:
+            cum = self._rule_picks[key] = list(
+                accumulate(c[l] for c in self.rule_counts(nt_id, d, exact))
+            )
+        return cum
+
+    def plan_pick(self, rule, d: int, l: int) -> tuple:
+        """(plans, cumulative weights) of rule's plans for a tree of length
+        l and depth exactly d."""
+        key = (rule.id, d, l)
+        out = self._plan_picks.get(key)
+        if out is None:
+            plans = _plans(rule, d, True)
+            out = self._plan_picks[key] = (
+                plans, list(accumulate(self.suffixes(rule, p)[1][0][l] for p in plans))
+            )
+        return out
+
+    def length_pick(self, rule, plan, j: int, remaining: int) -> tuple:
+        """(lengths, cumulative weights) for child j of rule under plan
+        when children j.. and the rule's terminals yield remaining tokens:
+        each length with trees for child j and for the rest."""
+        key = (rule.id, plan, j, remaining)
+        out = self._length_picks.get(key)
+        if out is None:
+            arrays, suffixes = self.suffixes(rule, plan)
+            suffix = suffixes[j + 1]
+            choices, weights = [], []
+            for lj, c in enumerate(arrays[j][: remaining + 1]):
+                if c and suffix[remaining - lj]:
+                    choices.append(lj)
+                    weights.append(c * suffix[remaining - lj])
+            out = self._length_picks[key] = (choices, list(accumulate(weights)))
+        return out
+
     def _counts(self, nt_id: int, d: int, exact: bool) -> list:
         if d < 1:
             return self._zeros
@@ -201,71 +248,90 @@ def _table(g: Grammar, max_depth: int, max_length: int) -> _CountTable:
 # Exact sampling
 
 
-def _rand_below(rng: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n) for arbitrary-precision n."""
+_MAX_BLOCK = 4096  # words per block: bounds the memory a block takes
+
+
+class _Words:
+    """32-bit words of a Generator's stream, drawn in blocks.
+
+    A block of k words is the same stream as k one-word draws. close()
+    leaves the generator where one-word draws would have: it restores the
+    state saved at the start and draws again exactly the words served.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.state = rng.bit_generator.state
+        self.block = []
+        self.pos = 0
+        self.served = 0  # words of the blocks before this one
+
+    def __next__(self) -> int:
+        if self.pos == len(self.block):
+            self.served += len(self.block)
+            self.block = self._draw(min(max(64, 2 * len(self.block)), _MAX_BLOCK)).tolist()
+            self.pos = 0
+        self.pos += 1
+        return self.block[self.pos - 1]
+
+    def _draw(self, k: int) -> np.ndarray:
+        return self.rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
+
+    def close(self) -> None:
+        self.rng.bit_generator.state = self.state
+        left = self.served + self.pos
+        while left:
+            k = min(left, _MAX_BLOCK)
+            self._draw(k)
+            left -= k
+
+
+def _rand_below(words, n: int) -> int:
+    """Uniform integer in [0, n) for arbitrary-precision n, from 32-bit
+    words, the first the most significant."""
     if n <= 0:
         raise ValueError("empty choice")
     bits = n.bit_length()
-    words = (bits + 31) // 32
+    count = (bits + 31) // 32
     while True:
         r = 0
-        # Scalar draws give the same stream as one size=words draw, at a
-        # third of the cost per call.
-        for _ in range(words):
-            r = (r << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
+        for _ in range(count):
+            r = (r << 32) | next(words)
         r &= (1 << bits) - 1
         if r < n:
             return r
 
 
-def _weighted_pick(rng, weights) -> int:
-    total = sum(weights)
-    x = _rand_below(rng, total)
-    for i, w in enumerate(weights):
-        if x < w:
-            return i
-        x -= w
-    raise AssertionError("unreachable")
+def _weighted_pick(words, cum) -> int:
+    """Index drawn in proportion to its weight, cum holding the running
+    sums of the weights: the first whose sum exceeds a uniform draw below
+    the total, so a zero weight is never drawn."""
+    return bisect_right(cum, _rand_below(words, cum[-1]))
 
 
-def _split_lengths(rng, arrays, suffixes, total):
-    """Pick one length per child array, proportional to counts, summing
-    (with the rule's terminals, already inside suffixes) to total."""
-    lengths = []
-    remaining = total
-    for j, arr in enumerate(arrays):
-        suffix = suffixes[j + 1]
-        weights = []
-        choices = []
-        for lj, c in enumerate(arr):
-            if c and lj <= remaining and suffix[remaining - lj]:
-                weights.append(c * suffix[remaining - lj])
-                choices.append(lj)
-        lj = choices[_weighted_pick(rng, weights)]
-        lengths.append(lj)
-        remaining -= lj
-    return lengths
-
-
-def _sample(tab: _CountTable, rng, nt_id: int, d: int, l: int, exact: bool) -> Ast:
+def _sample(tab: _CountTable, words, nt_id: int, d: int, l: int, exact: bool) -> Ast:
     """Uniform tree rooted at nt_id with yield length l and depth exactly d
     (exact) or at most d. Draws a rule, then (exact only) a plan, then the
     children's lengths, each in proportion to the trees it leaves; the
     children follow the plan."""
-    rules = tab.rules_by_lhs[nt_id]
-    r = rules[_weighted_pick(rng, [c[l] for c in tab.rule_counts(nt_id, d, exact)])]
+    r = tab.rules_by_lhs[nt_id][_weighted_pick(words, tab.rule_pick(nt_id, d, l, exact))]
     kids = r.rhs_nonterminals()
     if not kids:
         return Ast(r.id)
-    plans = _plans(r, d, exact)
     if exact:
-        plan = plans[_weighted_pick(rng, [tab.suffixes(r, p)[1][0][l] for p in plans])]
+        plans, cum = tab.plan_pick(r, d, l)
+        plan = plans[_weighted_pick(words, cum)]
     else:
-        plan = plans[0]
-    arrays, suffixes = tab.suffixes(r, plan)
-    lengths = _split_lengths(rng, arrays, suffixes, l)
+        plan = _plans(r, d, False)[0]
+    lengths = []
+    remaining = l
+    for j in range(len(kids)):
+        choices, cum = tab.length_pick(r, plan, j, remaining)
+        lj = choices[_weighted_pick(words, cum)]
+        lengths.append(lj)
+        remaining -= lj
     return Ast(r.id, tuple(
-        _sample(tab, rng, kid.id, kd, lk, kexact)
+        _sample(tab, words, kid.id, kd, lk, kexact)
         for kid, (kd, kexact), lk in zip(kids, plan, lengths)
     ))
 
@@ -301,15 +367,21 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
     check_int("n", n, 0)
     if rng is None:
         rng = np.random.default_rng(bucket.seed)
+    elif not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     tab = _table(g, bucket.max_depth, bucket.max_length)
     cells = _cells(tab, g.start.id, bucket)
     if n and not cells:
         raise UnsatisfiableBucket(f"no derivation fits {bucket}")
     out = []
-    for _ in range(n):
-        d, l = cells[_rand_below(rng, len(cells))]
-        t = _sample(tab, rng, g.start.id, d, l, True)
-        out.append((pretty_print(g, t), t))
+    words = _Words(rng)
+    try:
+        for _ in range(n):
+            d, l = cells[_rand_below(words, len(cells))]
+            t = _sample(tab, words, g.start.id, d, l, True)
+            out.append((pretty_print(g, t), t))
+    finally:
+        words.close()
     return out
 
 

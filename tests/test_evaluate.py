@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ngparse import cli, evaluate, sampler
@@ -59,6 +61,17 @@ def test_per_cell_validation(g):
     assert record.count == 0
     # The check reads the axes once, so iterators still give every cell.
     assert len(evaluate_grid(g, ["oracle"], iter([7]), iter([8, 9]), per_cell=1, seed=0)) == 2
+
+
+@pytest.mark.parametrize(
+    "seed,match",
+    [(1.0, "seed must be an integer, got 1.0"), ("1", "seed must be an integer, got '1'"),
+     (True, "seed must be an integer, got True"), (-1, "seed must be >= 0, got -1")],
+    ids=["float", "str", "bool", "negative"],
+)
+def test_seed_validation(g, seed, match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        evaluate_grid(g, ["oracle"], [7], [8], per_cell=1, seed=seed)
 
 
 def test_a_repeated_depth_is_one_cell(g, monkeypatch):

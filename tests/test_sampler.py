@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import re
 import weakref
 from collections import Counter
@@ -80,6 +81,15 @@ def test_bucket_validation():
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SampleBucket(*args)
     assert SampleBucket(*map(np.int64, (5, 8, 1, 9, 2))).max_depth == 9
+
+
+def test_sample_corpus_rejects_a_non_generator_rng(g):
+    bucket = SampleBucket(5, 10, 1, 9)
+    legacy = np.random.RandomState(0)
+    for rng in (legacy, 0):
+        with pytest.raises(TypeError, match="rng must be a numpy.random.Generator"):
+            sample_corpus(g, bucket, 3, rng)
+    assert legacy.randint(1 << 30) == np.random.RandomState(0).randint(1 << 30)
 
 
 def test_sample_corpus_rejects_bad_counts(g):
@@ -314,7 +324,7 @@ def test_draws_are_pinned(g):
     assert h.hexdigest() == PINNED_CORPUS_SHA256
 
     tab = sampler._table(g, 8, 16)
-    rng = np.random.default_rng(5)
+    words = sampler._Words(np.random.default_rng(5))
     h = hashlib.sha256()
     for nt in g.nonterminals:
         for d in (1, 2):
@@ -323,7 +333,7 @@ def test_draws_are_pinned(g):
                     if not (tab.exact(nt.id, d, l) if exact else tab.leq[nt.id][d][l]):
                         continue
                     for _ in range(3):
-                        t = sampler._sample(tab, rng, nt.id, d, l, exact)
+                        t = sampler._sample(tab, words, nt.id, d, l, exact)
                         h.update(f"{nt.name} {d} {l} {exact} {serialize(g, t)}\n".encode())
     assert h.hexdigest() == PINNED_EDGE_SHA256
 
@@ -334,3 +344,74 @@ def test_draws_are_pinned(g):
 )
 def test_sample_program_is_the_first_of_a_corpus(g, bucket):
     assert sample_program(g, bucket) == sample_corpus(g, bucket, 1)[0]
+
+
+# sha256 of the draws and of the generator's state after them, as the
+# sampler made them when it drew one 32-bit word per rng call: the sampler
+# must leave the caller's generator exactly where those calls did (train()
+# draws its batches from it next). Each generator starts one 32-bit word
+# into its stream, half way through a 64-bit output for PCG64 and SFC64.
+PINNED_RNG_STATE_SHA256 = "18eb9bd0d4ea674898aba74c3a3334d1217281a8a299421e1fe2d2a6131aecfa"
+
+
+def test_generator_state_after_sampling_is_pinned(g):
+    h = hashlib.sha256()
+    for bitgen in (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64):
+        for n in (0, 1, 7, 300):
+            rng = np.random.Generator(bitgen(n + 11))
+            rng.integers(0, 1 << 32, dtype=np.uint64)
+            for tokens, t in sample_corpus(g, SampleBucket(8, 30, 1, 11), n, rng):
+                h.update(f"{g.decode(tokens)}\t{serialize(g, t)}\n".encode())
+            h.update(repr(rng.bit_generator.state).encode())
+            h.update(repr(rng.integers(0, 1 << 62, size=3).tolist()).encode())
+    assert h.hexdigest() == PINNED_RNG_STATE_SHA256
+
+
+def test_a_failed_draw_leaves_the_generator_after_the_words_it_used(g, monkeypatch):
+    sample, calls, used = sampler._sample, [], []
+
+    def tenth_node_fails(tab, words, *args):
+        calls.append(args)
+        if len(calls) == 10:
+            used.append(words.served + words.pos)
+            raise RuntimeError("draw failed")
+        return sample(tab, words, *args)
+
+    monkeypatch.setattr(sampler, "_sample", tenth_node_fails)
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        sample_corpus(g, SampleBucket(8, 30, 1, 11), 5, rng)
+    [count] = used
+    assert count > 2
+    twin.integers(0, 1 << 32, size=count, dtype=np.uint64)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _scan_pick(x: int, weights) -> int:
+    """The pick before cumulative weights: scan for the weight x falls in."""
+    for i, w in enumerate(weights):
+        if x < w:
+            return i
+        x -= w
+    raise AssertionError("x is not below the total")
+
+
+def test_bisect_pick_matches_the_linear_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weight = st.one_of(st.just(0), st.integers(1, 5), st.integers(0, 1 << 80))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(weight, min_size=1, max_size=8), st.data())
+    def check(weights, data):
+        total = sum(weights)
+        hypothesis.assume(total > 0)
+        x = data.draw(st.integers(0, total - 1))
+        # The 32-bit words of x, most significant first, make
+        # _rand_below(total) return x.
+        count = (total.bit_length() + 31) // 32
+        words = iter([(x >> (32 * i)) & 0xFFFFFFFF for i in reversed(range(count))])
+        cum = list(itertools.accumulate(weights))
+        assert sampler._weighted_pick(words, cum) == _scan_pick(x, weights)
+
+    check()
