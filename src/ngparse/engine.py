@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
-from .grammar import Grammar, Nonterminal, check_int, is_int
+from .grammar import Grammar, Nonterminal, check_int
 from .guider import GuiderModel, predict_rule_distribution
 from .parser import ParseError, reference_parse
 from .tree import Ast, pretty_print
@@ -64,10 +64,22 @@ class InferConfig:
 
 def model_selector(g: Grammar, model: GuiderModel):
     """Selector backed by the trained guider: returns (rule_id, logprob)
-    pairs for applicable rules, best first."""
+    pairs for applicable rules, best first.
+
+    The selector keeps, for its lifetime, the encoder's tables that depend
+    only on the model and the token ids (guider.encode's "proj" and
+    "prefixes"): each token's projection row and the state after each
+    prefix of one or two tokens it has encoded, at most V + V**2 states
+    (1,122 for build_grammar()). It puts them into the states of each
+    infer call. It reads the weights when it first needs them, so after
+    changing a model in place, make a new selector.
+    """
     model.check_grammar(g)
+    kept = {"proj": {}, "prefixes": {}}
 
     def select(tokens, nt: Nonterminal, states: dict):
+        if not states:
+            states.update(kept)
         probs = predict_rule_distribution(g, tokens, nt, model, states=states)
         ranked = [
             (r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
@@ -93,6 +105,10 @@ def oracle_selector(g: Grammar):
     return select
 
 
+def _unknown_token(tok, pos) -> Unparseable:
+    return Unparseable(f"token id {tok} at position {pos} is not in the vocabulary")
+
+
 def infer(
     g: Grammar,
     tokens,
@@ -105,8 +121,10 @@ def infer(
     selector(tokens, nt, states) -> [(rule_id, logprob)] sorted best-first,
     e.g. from model_selector or oracle_selector. tokens is a span of the
     input. states is one dict per infer call, for the selector to keep
-    what its calls on this input share (model_selector: the encoder's
-    prefix trie, see guider.encode); it is dropped when the call returns.
+    what its calls on this input share; it is dropped when the call
+    returns. model_selector puts its own tables into it, which outlive the
+    call, and keeps in it the states after the prefixes of three or more
+    tokens, which do not (see guider.encode).
     Within a call the selector is asked about each (span, nt) at most once,
     and only when its answer can change the result: when at least two
     candidates decompose the span in fallback, at least one in greedy and
@@ -126,9 +144,7 @@ def infer(
     tokens = tuple(tokens)
     if not tokens:
         raise Unparseable("empty input")
-    for pos, tok in enumerate(tokens):
-        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
-            raise Unparseable(f"token id {tok} at position {pos} is not in the vocabulary")
+    g.check_tokens(tokens, _unknown_token)
     if nt is None:
         nt = g.start
 
@@ -165,26 +181,27 @@ def infer(
     if cfg.mode == "beam":
         result = _infer_beam(g, expand, tokens, nt, cfg)
     else:
-        result = _infer_dfs(expand, tokens, nt, cfg.max_recursion_depth, 1)
+        result = _infer_dfs(g, expand, tokens, nt, cfg.max_recursion_depth, 1)
 
     if pretty_print(g, result) != tokens:
         raise InconsistentParse("reconstructed yield differs from input")
     return result
 
 
-def _infer_dfs(expand, tokens, nt, max_depth, level):
-    """The first proposal whose children all parse. Only Unparseable moves
-    on to the next one: DepthLimitExceeded ends the whole call."""
+def _infer_dfs(g, expand, tokens, nt, max_depth, level):
+    """The first proposal whose children all parse, a rule without
+    nonterminals giving the grammar's leaf. Only Unparseable moves on to
+    the next one: DepthLimitExceeded ends the whole call."""
     if level > max_depth:
         raise DepthLimitExceeded(f"recursion deeper than {max_depth}")
     for rule, _, goals in expand(tokens, nt):
         children = []
         try:
             for comp, knt in goals:
-                children.append(_infer_dfs(expand, comp, knt, max_depth, level + 1))
+                children.append(_infer_dfs(g, expand, comp, knt, max_depth, level + 1))
         except Unparseable:
             continue
-        return Ast(rule.id, tuple(children))
+        return g.leaves[rule.id] or Ast(rule.id, tuple(children))
     raise Unparseable(f"all rules exhausted for {nt.name}")
 
 
@@ -227,4 +244,4 @@ def _tree_from_preorder(g, rule_ids, idx):
     for _ in rule.rhs_nonterminals():
         child, idx = _tree_from_preorder(g, rule_ids, idx)
         children.append(child)
-    return Ast(rule.id, tuple(children)), idx
+    return g.leaves[rule.id] or Ast(rule.id, tuple(children)), idx

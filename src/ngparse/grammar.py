@@ -196,6 +196,15 @@ class Grammar:
     def decode(self, token_ids) -> str:
         return " ".join(self.vocabulary[i].text for i in token_ids)
 
+    def check_tokens(self, tokens, error) -> None:
+        """Raise error(tok, pos) for the first of tokens that is not an
+        integer id in the vocabulary (see is_int); error makes the caller's
+        exception, worded its own way."""
+        size = len(self.vocabulary)
+        for pos, tok in enumerate(tokens):
+            if not (is_int(tok) and 0 <= tok < size):
+                raise error(tok, pos)
+
     @cached_property
     def nesting(self) -> dict:
         """Token id -> +1 for a nesting opener, -1 for a closer; built on
@@ -221,15 +230,22 @@ class Grammar:
         )
 
     @cached_property
+    def leaves(self) -> tuple:
+        """Rule id -> the grammar's one Ast(rule id, ()) for a rule whose rhs
+        has no nonterminal, else None; built on first use. Parses share
+        these leaves, so a caller that keeps many trees holds one copy."""
+        from .tree import Ast
+
+        return tuple(None if r.rhs_nonterminals() else Ast(r.id, ()) for r in self.rules)
+
+    @cached_property
     def search_plans(self) -> tuple:
         """Nonterminal id -> one (rule id, rhs min length, steps, leaf) per
         rule, in rule-id order: the search baseline's view of each rhs,
         built on first use. steps codes the rhs as (token id or None,
         nonterminal id or None, min length after this symbol); leaf is the
-        grammar's one Ast(rule id, ()) for an rhs of exactly one terminal,
-        else None."""
-        from .tree import Ast
-
+        rule's entry in leaves for an rhs of exactly one terminal, else
+        None."""
         min_len = self.min_lengths
         plans = []
         for rules in self.rules_by_lhs:
@@ -244,7 +260,7 @@ class Grammar:
                         steps.append((None, sym.id, after))
                         after += min_len[sym.id]
                 one_terminal = len(r.rhs) == 1 and isinstance(r.rhs[0], Token)
-                leaf = Ast(r.id, ()) if one_terminal else None
+                leaf = self.leaves[r.id] if one_terminal else None
                 plan.append((r.id, after, tuple(reversed(steps)), leaf))
             plans.append(tuple(plan))
         return tuple(plans)

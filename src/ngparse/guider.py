@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Grammar, Nonterminal, check_int, check_number, is_int
+from .grammar import Grammar, Nonterminal, check_int, check_number
 
 __all__ = [
     "GuiderModel",
@@ -209,16 +209,12 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
     (stable), so the rows still reading at step t are the first active[t]
     and no step computes a row past the end of its sequence: the rows of
     all steps add up to the number of tokens. A batch of one runs exactly
-    the operations encode runs.
+    the operations encode runs. The token ids must be checked by the
+    caller (see _masked_logits).
     """
     emb = m.params["embedding"]
-    V = emb.shape[0]
-    for s in seqs:
-        if len(s) == 0:
-            raise GuiderError("empty token sequence")
-        for tid in s:
-            if not (is_int(tid) and 0 <= tid < V):
-                raise GuiderError(f"unknown token id {tid}")
+    if any(len(s) == 0 for s in seqs):
+        raise GuiderError("empty token sequence")
     lengths = np.array([len(s) for s in seqs])
     order = np.argsort(-lengths, kind="stable")
     ordered = [seqs[i] for i in order]
@@ -285,37 +281,46 @@ def _backward_encoder(m: GuiderModel, cache, dh):
     return {"embedding": d_emb, **_gate_views(X.T @ D, dU_zr, dU_h, D.sum(axis=0))}
 
 
+def _unknown_token(tok, pos) -> GuiderError:
+    return GuiderError(f"unknown token id {tok}")
+
+
 def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarray:
     """Final hidden state of the encoder for one token sequence.
 
-    states is what calls on sequences of one input (one parse) share:
-    under the key "proj" the input projection table {token id:
-    embedding[id] @ W}, each row made on first use, and under the token
-    ids a prefix trie of hidden states {token id: (state after that token,
-    child trie)}; the GRU runs only for the tokens past the longest prefix
-    already in it. The states are those of a batch-1 _forward, bit for
-    bit. Without states both are fresh, so nothing is reused.
+    states is what calls share: under "proj" the input projection table
+    {token id: embedding[id] @ W}; under "prefixes" a trie {token id:
+    (state after that token, child trie)} of the prefixes of one and two
+    tokens; and under each two-token prefix (a, b) the trie of the longer
+    prefixes that start with it. Each entry is made on first use, and the
+    GRU runs only for the tokens past the longest prefix already there.
+    The first two tables depend only on the model and the token ids, so a
+    caller may keep them across inputs (model_selector does: at most V +
+    V**2 states); the others belong to one input. The states are those of
+    a batch-1 _forward, bit for bit. Without states all are fresh, so
+    nothing is reused. Every token id is checked before any table is
+    touched.
     """
-    emb = m.params["embedding"]
     tokens = tuple(tokens)
     if not tokens:
         raise GuiderError("empty token sequence")
-    node = {} if states is None else states
-    proj = node.setdefault("proj", {})
-    h = np.zeros((1, m.U_h.shape[0]), dtype=emb.dtype)
-    for tid in tokens:
-        # checked at every token: a float equal to an id already in the
-        # tables (18.0 after token 18) would find that id's entries
-        if not (is_int(tid) and 0 <= tid < emb.shape[0]):
-            raise GuiderError(f"unknown token id {tid}")
+    g.check_tokens(tokens, _unknown_token)
+    states = {} if states is None else states
+    proj = states.setdefault("proj", {})
+    node = states.setdefault("prefixes", {})
+    emb = m.params["embedding"]
+    h = np.zeros(m.U_h.shape[0], dtype=emb.dtype)
+    for depth, tid in enumerate(tokens):
+        if depth == 2:
+            node = states.setdefault(tokens[:2], {})
         entry = node.get(tid)
         if entry is None:
             xw = proj.get(tid)
             if xw is None:
-                xw = proj[tid] = emb[[tid]] @ m.W
+                xw = proj[tid] = emb[tid] @ m.W
             entry = node[tid] = (_gru_step(m.U_zr, m.U_h, m.b, xw, h)[0], {})
         h, node = entry
-    return h[0]
+    return h
 
 
 def predict_rule_distribution(
@@ -339,6 +344,8 @@ def _masked_logits(g: Grammar, m: GuiderModel, pairs, want_cache: bool):
     """(logits, final states, cache) for a batch of TrainingPair: the
     output layer's logits over all rules, -inf where a rule's lhs is not
     the pair's nonterminal, and _forward's final states and cache."""
+    for p in pairs:
+        g.check_tokens(p.tokens, _unknown_token)
     h, cache = _forward(m, [p.tokens for p in pairs], want_cache)
     logits = h @ m.params["W_out"] + m.params["b_out"]
     lhs = np.array([r.lhs.id for r in g.rules])

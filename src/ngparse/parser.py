@@ -7,7 +7,7 @@ structurally identical to the generator's and to guided inference output.
 
 from __future__ import annotations
 
-from .grammar import Grammar, is_int
+from .grammar import Grammar
 from .tree import Ast
 
 __all__ = ["ParseError", "reference_parse"]
@@ -159,6 +159,10 @@ _DISPATCH = {
 }
 
 
+def _unknown_token(tok, pos) -> ParseError:
+    return ParseError(f"token id {tok} is not in the vocabulary", pos)
+
+
 def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
     """Parse a token-id sequence into the unique tree rooted at nt.
 
@@ -169,9 +173,7 @@ def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
     tokens = tuple(tokens)
     if not tokens:
         raise ParseError("empty input", 0)
-    for pos, tok in enumerate(tokens):
-        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
-            raise ParseError(f"token id {tok} is not in the vocabulary", pos)
+    g.check_tokens(tokens, _unknown_token)
     if nt is None:
         nt = g.start
     g.rules_for(nt)

@@ -16,7 +16,7 @@ import time
 import weakref
 from dataclasses import dataclass
 
-from .grammar import Grammar, check_int, check_number, is_int
+from .grammar import Grammar, check_int, check_number
 from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
@@ -54,6 +54,10 @@ class _Timeout(Exception):
     pass
 
 
+def _unknown_token(tok, pos) -> ValueError:
+    return ValueError(f"token id {tok} at position {pos} is not in the vocabulary")
+
+
 def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Depth limits 1, 2, ... up to cfg.max_depth; within each, DFS over
     derivations rooted at the start symbol. Timeouts and exhaustion are
@@ -62,9 +66,7 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
     toks = tuple(tokens)
     if not toks:
         raise ValueError("empty input")
-    for pos, tok in enumerate(toks):
-        if not (is_int(tok) and 0 <= tok < len(g.vocabulary)):
-            raise ValueError(f"token id {tok} at position {pos} is not in the vocabulary")
+    g.check_tokens(toks, _unknown_token)
     n = len(toks)
     min_depth, min_len, plans = g.min_depths, g.min_lengths, g.search_plans
     deadline = time.perf_counter() + cfg.time_limit_s

@@ -163,8 +163,10 @@ def test_fallback_encodes_each_span_prefix_once_per_call(g, small_trained, monke
     prefixes = {s[:i] for s in spans for i in range(1, len(s) + 1)}
     first = len(steps)
     assert first == len(prefixes)
+    # a second call reuses the selector's one- and two-token prefixes and
+    # encodes each longer one again, once
     infer(g, tokens, selector, cfg)
-    assert len(steps) == 2 * first
+    assert len(steps) - first == len([p for p in prefixes if len(p) >= 3])
 
 
 @pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
@@ -172,7 +174,7 @@ def test_shared_states_do_not_change_trees(g, small_trained, mode):
     shared = model_selector(g, small_trained)
 
     def unshared(tokens, nt, states):
-        return shared(tokens, nt, {})
+        return model_selector(g, small_trained)(tokens, nt, {})
 
     cfg = InferConfig(mode=mode)
     for tokens, _ in sample_corpus(g, SampleBucket(8, 30, 1, 11, seed=27), 30):
@@ -183,6 +185,64 @@ def test_shared_states_do_not_change_trees(g, small_trained, mode):
                 infer(g, tokens, shared, cfg)
             continue
         assert infer(g, tokens, shared, cfg) == expect
+
+
+def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
+    g, small_trained, monkeypatch
+):
+    # The two inputs share their one-, two- and three-token prefixes, so the
+    # second reads the first's entries in the selector's tables.
+    encoded = []
+    encode = guider.encode
+
+    def recording(g_, tokens, m, states=None):
+        h = encode(g_, tokens, m, states=states)
+        encoded.append((tuple(tokens), h))
+        return h
+
+    monkeypatch.setattr(guider, "encode", recording)
+    select = model_selector(g, small_trained)
+    asked = []
+    for text in ("v0 = 1 + 2 ; v1 = 1 + v0 ;", "v0 = 1 * v1 ; v0 = 2 ;"):
+        tokens, states = g.encode(text), {}
+        for i in range(len(tokens)):
+            for j in range(i + 1, len(tokens) + 1):
+                for nt in g.nonterminals:
+                    asked.append((tokens[i:j], nt, select(tokens[i:j], nt, states)))
+    monkeypatch.undo()
+    assert len(encoded) == len(asked)
+    for tokens, h in encoded:
+        assert np.array_equal(h, encode(g, tokens, small_trained))
+    for tokens, nt, ranked in asked:
+        probs = predict_rule_distribution(g, tokens, nt, small_trained)
+        assert sorted(ranked, key=lambda p: p[0]) == [
+            (r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
+            for r in g.rules_for(nt)
+        ]
+
+
+def test_selector_keeps_only_prefixes_of_up_to_two_tokens(g, small_trained):
+    select = model_selector(g, small_trained)
+    seen = []
+
+    def recording(tokens, nt, states):
+        seen.append(states)
+        return select(tokens, nt, states)
+
+    for tokens, _ in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=28), 200):
+        try:
+            infer(g, tokens, recording, InferConfig(mode="fallback"))
+        except InferenceError:
+            pass
+    kept = seen[0]["prefixes"]
+    assert all(states["prefixes"] is kept for states in seen)
+    V = len(g.vocabulary)
+    assert len(seen[0]["proj"]) <= V
+    held = 0
+    for _, first in kept.values():
+        held += 1 + len(first)
+        assert all(not deeper for _, deeper in first.values())
+    assert 0 < held <= V + V * V
 
 
 # sha256 of the trees and error kinds below, one digest per mode, computed

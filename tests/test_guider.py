@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FIXTURE_MODEL, save_with_tensors
 from ngparse import guider
+from ngparse.engine import model_selector
 from ngparse.grammar import Nonterminal
 from ngparse.guider import (
     AdamState,
@@ -197,6 +198,9 @@ def _rebuilt(m):
 def test_in_place_updates_reach_the_packed_gates(g):
     m = init_model(g, d_emb=8, d_h=16, seed=6)
     toks = g.encode("v0 = 1 + 2 ;")
+    # a selector made and asked before the changes keeps its own tables;
+    # a bare encode must still see every change
+    model_selector(g, m)(toks, g.start, {})
     m.params["U_r"][...] = 0.0
     assert not m.U_zr[:, 16:32].any()
     assert np.array_equal(encode(g, toks, m), encode(g, toks, _rebuilt(m)))
