@@ -15,7 +15,7 @@ from .decompose import DecompositionFailure, decompose
 from .grammar import Grammar, Nonterminal, check_int
 from .guider import GuiderModel, predict_rule_distribution
 from .parser import ParseError, reference_parse
-from .tree import Ast, pretty_print
+from .tree import Ast, TreeError, pretty_print
 
 __all__ = [
     "InferConfig",
@@ -178,12 +178,17 @@ def infer(
             memo[key] = proposals
         return proposals
 
-    if cfg.mode == "beam":
-        result = _infer_beam(g, expand, tokens, nt, cfg)
-    else:
-        result = _infer_dfs(g, expand, tokens, nt, cfg.max_recursion_depth, 1)
-
-    if pretty_print(g, result) != tokens:
+    try:
+        if cfg.mode == "beam":
+            result = _infer_beam(g, expand, tokens, nt, cfg)
+        else:
+            result = _infer_dfs(g, expand, tokens, nt, cfg.max_recursion_depth, 1)
+        consistent = pretty_print(g, result) == tokens
+    except (RecursionError, TreeError) as exc:
+        # The trees built here are well formed, so the verification walk
+        # raises TreeError only when it, too, runs out of stack.
+        raise DepthLimitExceeded(f"recursion deeper than Python's stack allows: {exc}") from None
+    if not consistent:
         raise InconsistentParse("reconstructed yield differs from input")
     return result
 

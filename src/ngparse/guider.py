@@ -495,6 +495,8 @@ def train(g: Grammar, schedule, config: TrainConfig = None):
     once held-out step accuracy reaches config.early_stop_acc. Returns
     (model, log rows); each row is (stage, iteration, loss, heldout_acc).
     """
+    # Looked up at call time, so a patch of these sampler attributes (as
+    # perfbench's --trace does) reaches the loop.
     from .sampler import extract_training_pairs, sample_corpus
 
     cfg = config or TrainConfig()

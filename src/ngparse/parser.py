@@ -168,7 +168,10 @@ def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
 
     Raises ParseError (with a furthest-token diagnostic) when no
     derivation consumes the input exactly or a token id is not an integer
-    in the vocabulary, and GrammarError for a nonterminal not in g.
+    in the vocabulary, and GrammarError for a nonterminal not in g. The
+    parser recurses once per statement, operand or nesting level, so a
+    valid program that recurses deeper than Python's stack allows (about
+    1,000 statements at the default limit) also raises ParseError.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -178,7 +181,10 @@ def reference_parse(g: Grammar, tokens, nt=None) -> Ast:
         nt = g.start
     g.rules_for(nt)
     p = _Parser(g, tokens)
-    t, end = _DISPATCH[nt.name](p, 0)
+    try:
+        t, end = _DISPATCH[nt.name](p, 0)
+    except RecursionError:
+        raise ParseError("input nests too deep to parse", p.furthest) from None
     if end != len(tokens):
         p.fail(end, f"unconsumed input starting at {p.texts[end]!r}")
     return t

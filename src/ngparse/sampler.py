@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .grammar import Grammar, GrammarError, Nonterminal, check_int
-from .tree import Ast, TreeError, pretty_print
+from .tree import Ast, pretty_print, yield_spans
 
 __all__ = [
     "SampleBucket",
@@ -390,38 +390,12 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
 
 
 def extract_training_pairs(g: Grammar, t: Ast) -> list:
-    """One (subtree yield, subtree root type, applied rule) per node,
-    in pre-order. Raises TreeError, as pretty_print does, at the first
-    node in pre-order whose children do not match its rule's rhs."""
-    pairs = []
-
-    def walk(node: Ast, rule) -> list:
-        kids = rule.rhs_nonterminals()
-        if len(node.children) != len(kids):
-            raise TreeError(
-                f"{rule.name}: expected {len(kids)} children, got {len(node.children)}"
-            )
-        slot = len(pairs)
-        pairs.append(None)  # filled once the children's yields are known
-        toks = []
-        children = iter(node.children)
-        for sym in rule.rhs:
-            if isinstance(sym, Nonterminal):
-                child = next(children)
-                child_rule = g.rule_by_id(child.rule_id)
-                if child_rule.lhs.id != sym.id:
-                    raise TreeError(
-                        f"{rule.name}: child rule {child_rule.name} has lhs "
-                        f"{child_rule.lhs.name}, expected {sym.name}"
-                    )
-                toks.extend(walk(child, child_rule))
-            else:
-                toks.append(sym.id)
-        pairs[slot] = TrainingPair(tuple(toks), rule.lhs, node.rule_id)
-        return toks
-
-    walk(t, g.rule_by_id(t.rule_id))
-    return pairs
+    """One (subtree yield, subtree root type, applied rule) per node, in
+    preorder. Raises TreeError as pretty_print does: at the first fault
+    met by a walk that checks a node's child count on reaching it and each
+    child's lhs just before descending into that child."""
+    toks, spans = yield_spans(g, t)
+    return [TrainingPair(toks[a:b], rule.lhs, rule.id) for rule, a, b in spans]
 
 
 def curriculum_schedule(stages: int, base_seed: int = 0, repeats: int = 3) -> list:

@@ -36,26 +36,47 @@ class Ast:
 
 def validate_tree(g: Grammar, t: Ast) -> None:
     """Raise TreeError unless every node's children match its rule's rhs."""
-    _yield_into(g, t, g.rule_by_id(t.rule_id), [])
+    _walk(g, t)
 
 
 def pretty_print(g: Grammar, t: Ast) -> tuple:
-    """Terminal yield of the derivation, as a tuple of token ids. Raises
-    TreeError at the first node, in preorder, whose children do not match
-    its rule's rhs."""
+    """Terminal yield of the derivation, as a tuple of token ids.
+
+    Raises TreeError for a tree too deep for Python's stack, and for a
+    malformed one at the first fault met by a preorder walk that checks a
+    node's child count on reaching it and each child's lhs just before
+    descending into that child. So in S1(A1(C1, ...), V1) it names A1's
+    child C1, not S1's second child V1."""
+    return tuple(_walk(g, t))
+
+
+def yield_spans(g: Grammar, t: Ast) -> tuple:
+    """(pretty_print(g, t), spans): spans holds each node's (rule, start,
+    end) in preorder, yield[start:end] being the node's yield."""
+    spans = []
+    return tuple(_walk(g, t, spans)), spans
+
+
+def _walk(g: Grammar, t: Ast, spans: list = None) -> list:
     out = []
-    _yield_into(g, t, g.rule_by_id(t.rule_id), out)
-    return tuple(out)
+    try:
+        _yield_into(g, t, g.rule_by_id(t.rule_id), out, spans)
+    except RecursionError as exc:
+        raise TreeError(f"tree too deep to walk: {exc}") from None
+    return out
 
 
-def _yield_into(g: Grammar, t: Ast, rule, out: list) -> None:
+def _yield_into(g: Grammar, t: Ast, rule, out: list, spans) -> None:
     """Append the yield of t, whose rule is rule, to out, checking each
-    node before its children."""
+    node before its children; record its span in spans unless None."""
     kids = rule.rhs_nonterminals()
     if len(t.children) != len(kids):
         raise TreeError(
             f"{rule.name}: expected {len(kids)} children, got {len(t.children)}"
         )
+    if spans is not None:
+        slot, start = len(spans), len(out)
+        spans.append(None)  # filled once the children's yields are known
     child_iter = iter(t.children)
     for sym in rule.rhs:
         if isinstance(sym, Token):
@@ -68,7 +89,9 @@ def _yield_into(g: Grammar, t: Ast, rule, out: list) -> None:
                 f"{rule.name}: child rule {child_rule.name} has lhs "
                 f"{child_rule.lhs.name}, expected {sym.name}"
             )
-        _yield_into(g, child, child_rule, out)
+        _yield_into(g, child, child_rule, out, spans)
+    if spans is not None:
+        spans[slot] = (rule, start, len(out))
 
 
 def depth(t: Ast) -> int:
@@ -83,14 +106,18 @@ def node_count(t: Ast) -> int:
 def serialize(g: Grammar, t: Ast) -> str:
     """Parenthesized pre-order rule-name list, e.g. ``(S2 (A1 (V1) ...))``."""
     validate_tree(g, t)
-    return _write(g, t)
+    out = []
+    _write(g, t, out)
+    return "".join(out)
 
 
-def _write(g: Grammar, t: Ast) -> str:
-    name = g.rule_by_id(t.rule_id).name
-    if not t.children:
-        return f"({name})"
-    return f"({name} " + " ".join(_write(g, c) for c in t.children) + ")"
+def _write(g: Grammar, t: Ast, out: list) -> None:
+    # One frame per level, as the walk, so a tree that validates also writes.
+    out.append("(" + g.rule_by_id(t.rule_id).name)
+    for c in t.children:
+        out.append(" ")
+        _write(g, c, out)
+    out.append(")")
 
 
 def deserialize(g: Grammar, text: str) -> Ast:

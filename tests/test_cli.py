@@ -69,6 +69,16 @@ def test_parse_oracle_pipeline():
     assert lines[1].startswith("ERROR")
 
 
+def test_parse_oracle_line_too_deep_to_recurse_is_an_error_line():
+    deep = " ".join(["v0 = 1 ;"] * 1000)
+    res = run_cli(["parse", "--oracle"], stdin=f"{deep}\nv0 = 1 ;\n")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("ERROR input nests too deep to parse")
+    assert lines[1] == "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"
+
+
 def test_search_pipeline():
     res = run_cli(["search", "--max-depth", "12", "--time-limit", "10"],
                   stdin="v0 = 1 ;\n")

@@ -97,6 +97,18 @@ def test_depth_limit_on_a_span_repeated_across_levels(g, mode):
     assert serialize(g, tree) == "(S2 (A1 (V1) (E3 (T2 (F2 (V1))))))"
 
 
+@pytest.mark.parametrize("mode", ["fallback", "beam"])
+def test_python_stack_running_out_raises_depth_limit(g, mode):
+    # The limit is past what Python's stack holds, so the stack runs out
+    # first: in the search, in building the beam's tree, or in verifying it.
+    def uniform(toks, nt, states):
+        return [(r.id, 0.0) for r in g.rules_for(nt)]
+
+    tokens = g.encode(" ".join(["v0 = 1 ;"] * 1000))
+    with pytest.raises(DepthLimitExceeded, match="Python's stack"):
+        infer(g, tokens, uniform, InferConfig(mode=mode, max_recursion_depth=2000))
+
+
 def test_trained_model_parses_in_distribution(g, small_trained):
     selector = model_selector(g, small_trained)
     corpus = sample_corpus(g, SampleBucket(5, 15, 1, 9, seed=22), 100)

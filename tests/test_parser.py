@@ -75,3 +75,20 @@ def test_unknown_token_id_is_a_parse_error(g, bad):
 def test_unknown_nonterminal_is_a_grammar_error(g):
     with pytest.raises(GrammarError, match="unknown nonterminal"):
         reference_parse(g, g.encode("v0 = 1 ;"), Nonterminal(99, "Ghost"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" ".join(["v0 = 1 ;"] * 1000), "v0 = " + " + ".join(["1"] * 1000) + " ;"],
+    ids=["1000-statements", "1000-terms"],
+)
+def test_valid_program_too_deep_to_recurse_raises_parse_error(g, text):
+    tokens = g.encode(text)
+    with pytest.raises(ParseError, match="too deep") as exc:
+        reference_parse(g, tokens)
+    assert 0 <= exc.value.furthest <= len(tokens)
+
+
+def test_eight_hundred_statements_still_parse(g):
+    tokens = g.encode(" ".join(["v0 = 1 ;"] * 800))
+    assert pretty_print(g, reference_parse(g, tokens)) == tokens

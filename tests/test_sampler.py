@@ -154,6 +154,33 @@ def test_pairs_label_consistent_and_yield_correct(g):
         assert pairs[0].tokens == tokens
         for p in pairs:
             assert g.rule_by_id(p.rule_id).lhs == p.nt
+        assert [(p.tokens, p.nt, p.rule_id) for p in pairs] == _node_pairs(g, tree)
+    for _, tree in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=4), 50):
+        pairs = extract_training_pairs(g, tree)
+        assert [(p.tokens, p.nt, p.rule_id) for p in pairs] == _node_pairs(g, tree)
+
+
+def _node_pairs(g, t):
+    """(yield, lhs, rule id) of every node of t, in preorder, each yield
+    from pretty_print on that node's own subtree."""
+    rule = g.rule_by_id(t.rule_id)
+    out = [(pretty_print(g, t), rule.lhs, rule.id)]
+    for c in t.children:
+        out.extend(_node_pairs(g, c))
+    return out
+
+
+@pytest.mark.parametrize("walk", [pretty_print, serialize, extract_training_pairs])
+def test_malformed_tree_fault_is_the_first_the_walk_meets(g, walk):
+    # S1's second child V1 is wrong and comes first in preorder, but the
+    # walk checks a child's lhs only just before descending into it, so it
+    # meets A1's wrong first child C1 first.
+    def build(name, *kids):
+        return Ast(g.rule_by_name(name).id, tuple(build(*k) for k in kids))
+
+    t = build("S1", ("A1", ("C1",), ("E3", ("T2", ("F3", ("C2",))))), ("V1",))
+    with pytest.raises(TreeError, match="^A1: child rule C1 has lhs Const, expected Var$"):
+        walk(g, t)
 
 
 def test_curriculum_stage_lengths(g):

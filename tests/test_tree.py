@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngparse.parser import reference_parse
-from ngparse.sampler import SampleBucket, sample_corpus
+from ngparse.sampler import SampleBucket, extract_training_pairs, sample_corpus
 from ngparse.tree import (
     Ast,
     TreeError,
@@ -11,6 +11,7 @@ from ngparse.tree import (
     node_count,
     pretty_print,
     serialize,
+    validate_tree,
 )
 
 
@@ -138,3 +139,24 @@ def test_deserialize_fuzz_gives_trees_or_tree_errors(g):
     leaf = "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"
     with pytest.raises(TreeError):
         deserialize(g, "(S1 (A1 (V1) (E3 (T2 (F3 (C2))))) " * 5000 + leaf + ")" * 5000)
+
+
+def _s1_chain(g, n):
+    """A valid tree of n S1 nodes over one assignment, built in a loop."""
+    t = deserialize(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))")
+    for _ in range(n):
+        t = Ast(g.rule_by_name("S1").id, (t.children[0], t))
+    return t
+
+
+def test_tree_too_deep_for_the_stack_raises_tree_error(g):
+    t = _s1_chain(g, 2000)
+    for walk in (pretty_print, validate_tree, serialize, extract_training_pairs):
+        with pytest.raises(TreeError, match="^tree too deep to walk"):
+            walk(g, t)
+
+
+def test_deep_tree_that_validates_also_writes(g):
+    text = serialize(g, _s1_chain(g, 800))
+    assert text.count("(S1 ") == 800
+    assert serialize(g, deserialize(g, text)) == text
