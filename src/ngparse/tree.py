@@ -95,12 +95,24 @@ def _yield_into(g: Grammar, t: Ast, rule, out: list, spans) -> None:
 
 
 def depth(t: Ast) -> int:
-    """Node count of the longest root-to-leaf path."""
-    return 1 + max((depth(c) for c in t.children), default=0)
+    """Node count of the longest root-to-leaf path. Walks with an explicit
+    stack, so a tree deeper than Python's stack still gets its number."""
+    deepest, stack = 0, [(t, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in node.children)
+    return deepest
 
 
 def node_count(t: Ast) -> int:
-    return 1 + sum(node_count(c) for c in t.children)
+    """Number of nodes, shared subtrees counted once per occurrence; walks
+    with an explicit stack, as depth does."""
+    count, stack = 0, [t]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
 
 
 def serialize(g: Grammar, t: Ast) -> str:

@@ -16,6 +16,7 @@ from ngparse.engine import (
     model_selector,
     oracle_selector,
 )
+from ngparse.grammar import GrammarError, Nonterminal
 from ngparse.guider import predict_rule_distribution
 from ngparse.sampler import SampleBucket, derive_seed, sample_corpus
 from ngparse.tree import pretty_print, serialize
@@ -222,7 +223,10 @@ def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
                 for nt in g.nonterminals:
                     asked.append((tokens[i:j], nt, select(tokens[i:j], nt, states)))
     monkeypatch.undo()
-    assert len(encoded) == len(asked)
+    # One encode per ask that missed the answer memo: every span of three or
+    # more tokens, and the first ask of each (span, nt) of one or two.
+    short = {(tokens, nt) for tokens, nt, _ in asked if len(tokens) <= 2}
+    assert len(encoded) == len([a for a in asked if len(a[0]) > 2]) + len(short)
     for tokens, h in encoded:
         assert np.array_equal(h, encode(g, tokens, small_trained))
     for tokens, nt, ranked in asked:
@@ -233,19 +237,30 @@ def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
         ]
 
 
-def test_selector_keeps_only_prefixes_of_up_to_two_tokens(g, small_trained):
+def test_selector_keeps_only_prefixes_of_up_to_two_tokens(g, small_trained, monkeypatch):
     select = model_selector(g, small_trained)
-    seen = []
+    seen, short_asks, answered = [], set(), []
+    head = engine.predict_rule_distribution
+
+    def counting(g_, tokens, nt, m, states=None):
+        if len(tokens) <= 2:
+            answered.append((tuple(tokens), nt))
+        return head(g_, tokens, nt, m, states=states)
 
     def recording(tokens, nt, states):
         seen.append(states)
+        if len(tokens) <= 2:
+            short_asks.add((tokens, nt))
         return select(tokens, nt, states)
 
-    for tokens, _ in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=28), 200):
-        try:
-            infer(g, tokens, recording, InferConfig(mode="fallback"))
-        except InferenceError:
-            pass
+    monkeypatch.setattr(engine, "predict_rule_distribution", counting)
+    # fallback asks about no span this short here; beam asks about many.
+    for mode in ("fallback", "beam"):
+        for tokens, _ in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=28), 200):
+            try:
+                infer(g, tokens, recording, InferConfig(mode=mode))
+            except InferenceError:
+                pass
     kept = seen[0]["prefixes"]
     assert all(states["prefixes"] is kept for states in seen)
     V = len(g.vocabulary)
@@ -255,6 +270,43 @@ def test_selector_keeps_only_prefixes_of_up_to_two_tokens(g, small_trained):
         held += 1 + len(first)
         assert all(not deeper for _, deeper in first.values())
     assert 0 < held <= V + V * V
+    # One head call per answer kept: each short (span, nt) is computed once.
+    assert 0 < len(answered) == len(short_asks) <= (V + V * V) * len(g.nonterminals)
+
+
+def test_selector_keeps_the_answers_for_spans_of_up_to_two_tokens(
+    g, small_trained, monkeypatch
+):
+    heads = []
+    head = engine.predict_rule_distribution
+
+    def recording(g_, tokens, nt, m, states=None):
+        heads.append(tuple(tokens))
+        return head(g_, tokens, nt, m, states=states)
+
+    monkeypatch.setattr(engine, "predict_rule_distribution", recording)
+    select = model_selector(g, small_trained)
+    tokens = g.encode("v0 = 1 + v1 ; v1 = v0 * 2 ;")
+    cfg = InferConfig(mode="beam")
+    first = infer(g, tokens, select, cfg)
+    assert any(len(span) <= 2 for span in heads)
+    heads.clear()
+    assert infer(g, tokens, select, cfg) == first
+    assert heads and all(len(span) >= 3 for span in heads)
+
+    # Token id 1, which True and 1.0 equal and hash like as dict keys.
+    one, nt = (1,), g.start
+    select(one, nt, {})
+    asked = len(heads)
+    hit = select(one, nt, {})
+    assert len(heads) == asked
+    assert isinstance(hit, tuple)
+    assert hit == model_selector(g, small_trained)(one, nt, {})
+    for bad in ((True,), (1.0,), ("1",)):
+        with pytest.raises(guider.GuiderError):
+            select(bad, nt, {})
+    with pytest.raises(GrammarError):
+        select(one, Nonterminal(nt.id, "Foreign"), {})
 
 
 # sha256 of the trees and error kinds below, one digest per mode, computed

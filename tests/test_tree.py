@@ -160,3 +160,12 @@ def test_deep_tree_that_validates_also_writes(g):
     text = serialize(g, _s1_chain(g, 800))
     assert text.count("(S1 ") == 800
     assert serialize(g, deserialize(g, text)) == text
+
+
+def test_depth_and_node_count_of_a_tree_deeper_than_the_stack(g):
+    # The chain's base, S2 over "v0 = 1 ;", is 6 deep with 7 nodes; each S1
+    # adds one level and itself plus its shared A1 subtree of 6 nodes.
+    assert (depth(_s1_chain(g, 0)), node_count(_s1_chain(g, 0))) == (6, 7)
+    t = _s1_chain(g, 2000)
+    assert depth(t) == 2006
+    assert node_count(t) == 7 + 2000 * 7
