@@ -263,12 +263,14 @@ def _backward_encoder(m: GuiderModel, cache, dh):
         dz_pre, dr_pre, dcand_pre = pre[:, :d], pre[:, d : 2 * d], pre[:, 2 * d :]
 
         np.multiply(dnew * z, 1.0 - cand * cand, out=dcand_pre)
-        drh = dcand_pre @ m.U_h.T
+        # (U @ x.T).T has the bits of x @ U.T and takes OpenBLAS's faster
+        # path for the few rows of a step
+        drh = (m.U_h @ dcand_pre.T).T
         np.multiply(dnew * (cand - h_prev) * z, 1.0 - z, out=dz_pre)
         np.multiply(drh * h_prev * r, 1.0 - r, out=dr_pre)
         dh_prev = dnew * (1.0 - z)
         dh_prev += drh * r
-        dh_prev += pre[:, : 2 * d] @ m.U_zr.T
+        dh_prev += (m.U_zr @ pre[:, : 2 * d].T).T
         grad[: hi - lo] = dh_prev
 
     ids = [tid for step in steps for tid in step[0]]
@@ -479,12 +481,10 @@ def _balanced_batch(rng, by_nt: dict, size: int):
     """Uniform over nonterminal classes, then uniform within the class;
     counters chain-rule label dominance in the raw pair pool."""
     nts = sorted(by_nt)
-    picks = rng.integers(0, len(nts), size=size)
-    batch = []
-    for k in picks:
-        pool = by_nt[nts[k]]
-        batch.append(pool[int(rng.integers(0, len(pool)))])
-    return batch
+    pools = [by_nt[nts[k]] for k in rng.integers(0, len(nts), size=size)]
+    # one call, the same values and generator state as a draw per pool
+    within = rng.integers(0, [len(p) for p in pools])
+    return [p[i] for p, i in zip(pools, within.tolist())]
 
 
 def train(g: Grammar, schedule, config: TrainConfig = None):

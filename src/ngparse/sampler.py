@@ -5,7 +5,9 @@ and of Flajolet, Zimmermann & Van Cutsem): a dynamic program tabulates,
 per nonterminal, how many derivation trees exist at each (depth, yield
 length). One top-down routine then draws a tree uniformly among those of
 depth at most d or exactly d and length exactly l, choosing each rule,
-depth plan and child length in proportion to the trees it leaves. Buckets
+depth plan and child length in proportion to the trees it leaves, and
+emits the tree's tokens as it goes, so no second walk makes the yield.
+Leaves are the grammar's shared ones (g.leaves), as in parses. Buckets
 are sampled by first drawing a feasible (depth, length) pair uniformly, so
 unsatisfiable buckets are detected exactly rather than by rejection
 timeouts.
@@ -21,11 +23,12 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import length_hint
 
 import numpy as np
 
-from .grammar import Grammar, GrammarError, Nonterminal, check_int
-from .tree import Ast, pretty_print, yield_spans
+from .grammar import Grammar, Nonterminal, Token, check_int
+from .tree import Ast, serialize, yield_spans
 
 __all__ = [
     "SampleBucket",
@@ -38,7 +41,6 @@ __all__ = [
     "feasible_cells",
     "derive_seed",
     "write_corpus",
-    "read_corpus",
     "write_pairs",
 ]
 
@@ -120,13 +122,19 @@ class _CountTable:
     max_length and hold exact Python integers (they overflow floats
     quickly). So are the sampler's picks: each rule, plan and child
     length pick keeps its cumulative weights, the running sums of the
-    trees each choice leaves.
+    trees each choice leaves. shapes holds each rule's rhs by rule id,
+    a token id per terminal and None per nonterminal; leaves is the
+    grammar's.
     """
 
     def __init__(self, g: Grammar, max_depth: int, max_length: int):
         self.max_depth = max_depth
         self.max_length = max_length
         self.rules_by_lhs = g.rules_by_lhs
+        self.leaves = g.leaves
+        self.shapes = tuple(
+            tuple(s.id if isinstance(s, Token) else None for s in r.rhs) for r in g.rules
+        )
         self._zeros = [0] * (max_length + 1)
         self._rule_counts = {}
         self._suffixes = {}
@@ -252,7 +260,9 @@ _MAX_BLOCK = 4096  # words per block: bounds the memory a block takes
 
 
 class _Words:
-    """32-bit words of a Generator's stream, drawn in blocks.
+    """32-bit words of a Generator's stream, drawn in blocks; stream is
+    an iterator over them (a generator, so each word costs no Python
+    call).
 
     A block of k words is the same stream as k one-word draws. close()
     leaves the generator where one-word draws would have: it restores the
@@ -262,24 +272,28 @@ class _Words:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.state = rng.bit_generator.state
-        self.block = []
-        self.pos = 0
-        self.served = 0  # words of the blocks before this one
+        self.drawn = 0  # words of the blocks drawn so far
+        self.block = iter(())  # the last block's words not yet served
+        self.stream = self._serve()
 
-    def __next__(self) -> int:
-        if self.pos == len(self.block):
-            self.served += len(self.block)
-            self.block = self._draw(min(max(64, 2 * len(self.block)), _MAX_BLOCK)).tolist()
-            self.pos = 0
-        self.pos += 1
-        return self.block[self.pos - 1]
+    def _serve(self):
+        k = 64
+        while True:
+            self.block = iter(self._draw(k).tolist())
+            self.drawn += k
+            yield from self.block
+            k = min(2 * k, _MAX_BLOCK)
 
     def _draw(self, k: int) -> np.ndarray:
         return self.rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
 
+    def served(self) -> int:
+        return self.drawn - length_hint(self.block)
+
     def close(self) -> None:
+        left = self.served()
+        self.stream = None  # the generator refers back to self
         self.rng.bit_generator.state = self.state
-        left = self.served + self.pos
         while left:
             k = min(left, _MAX_BLOCK)
             self._draw(k)
@@ -292,6 +306,12 @@ def _rand_below(words, n: int) -> int:
     if n <= 0:
         raise ValueError("empty choice")
     bits = n.bit_length()
+    if bits <= 32:  # one word per try: the loop below with count 1
+        mask = (1 << bits) - 1
+        while True:
+            r = next(words) & mask
+            if r < n:
+                return r
     count = (bits + 31) // 32
     while True:
         r = 0
@@ -309,31 +329,40 @@ def _weighted_pick(words, cum) -> int:
     return bisect_right(cum, _rand_below(words, cum[-1]))
 
 
-def _sample(tab: _CountTable, words, nt_id: int, d: int, l: int, exact: bool) -> Ast:
+def _sample(tab: _CountTable, words, nt_id: int, d: int, l: int, exact: bool, out: list) -> Ast:
     """Uniform tree rooted at nt_id with yield length l and depth exactly d
-    (exact) or at most d. Draws a rule, then (exact only) a plan, then the
-    children's lengths, each in proportion to the trees it leaves; the
-    children follow the plan."""
-    r = tab.rules_by_lhs[nt_id][_weighted_pick(words, tab.rule_pick(nt_id, d, l, exact))]
+    (exact) or at most d, its yield appended to out. Draws a rule, then
+    (exact only) a plan, then the children's lengths, each in proportion
+    to the trees it leaves; then the children follow the plan, in rhs
+    order with the rule's terminals between them. A rule without
+    nonterminals gives the grammar's shared leaf."""
+    stream = words.stream
+    r = tab.rules_by_lhs[nt_id][_weighted_pick(stream, tab.rule_pick(nt_id, d, l, exact))]
     kids = r.rhs_nonterminals()
     if not kids:
-        return Ast(r.id)
+        out.extend(tab.shapes[r.id])
+        return tab.leaves[r.id]
     if exact:
         plans, cum = tab.plan_pick(r, d, l)
-        plan = plans[_weighted_pick(words, cum)]
-    else:
-        plan = _plans(r, d, False)[0]
+        plan = plans[_weighted_pick(stream, cum)]
+    else:  # the one plan _plans gives for depth at most d, without the call
+        plan = ((d - 1, False),) * len(kids)
     lengths = []
     remaining = l
     for j in range(len(kids)):
         choices, cum = tab.length_pick(r, plan, j, remaining)
-        lj = choices[_weighted_pick(words, cum)]
+        lj = choices[_weighted_pick(stream, cum)]
         lengths.append(lj)
         remaining -= lj
-    return Ast(r.id, tuple(
-        _sample(tab, words, kid.id, kd, lk, kexact)
-        for kid, (kd, kexact), lk in zip(kids, plan, lengths)
-    ))
+    children = []
+    todo = zip(kids, plan, lengths)
+    for tok in tab.shapes[r.id]:
+        if tok is None:
+            kid, (kd, kexact), lk = next(todo)
+            children.append(_sample(tab, words, kid.id, kd, lk, kexact, out))
+        else:
+            out.append(tok)
+    return Ast(r.id, tuple(children))
 
 
 def _cells(tab: _CountTable, nt_id: int, bucket: SampleBucket) -> list:
@@ -361,8 +390,10 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
     bucket.
 
     Each draw's (depth, length) pair is uniform over the bucket's feasible
-    cells; the tree is uniform among derivations of that exact pair.
-    Reproducible from bucket.seed when no rng is passed.
+    cells; the tree is uniform among derivations of that exact pair. The
+    token sequence is the tree's yield, emitted during the draw; the draw
+    builds only valid trees, so no walk checks them. Reproducible from
+    bucket.seed when no rng is passed.
     """
     check_int("n", n, 0)
     if rng is None:
@@ -377,9 +408,10 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
     words = _Words(rng)
     try:
         for _ in range(n):
-            d, l = cells[_rand_below(words, len(cells))]
-            t = _sample(tab, words, g.start.id, d, l, True)
-            out.append((pretty_print(g, t), t))
+            d, l = cells[_rand_below(words.stream, len(cells))]
+            tokens = []
+            t = _sample(tab, words, g.start.id, d, l, True, tokens)
+            out.append((tuple(tokens), t))
     finally:
         words.close()
     return out
@@ -431,33 +463,10 @@ def curriculum_schedule(stages: int, base_seed: int = 0, repeats: int = 3) -> li
 
 
 def write_corpus(g: Grammar, items, path) -> None:
-    from .tree import serialize
-
+    """One line per (tokens, tree): the program, a tab, the tree text."""
     with open(path, "w") as fh:
         for tokens, t in items:
             fh.write(f"{g.decode(tokens)}\t{serialize(g, t)}\n")
-
-
-def read_corpus(g: Grammar, path) -> list:
-    """Read a write_corpus file. A line that is not a program and its tree
-    text, separated by one tab, raises TreeError (GrammarError for a word
-    outside the vocabulary) naming its 1-based line number."""
-    from .tree import TreeError, deserialize
-
-    items = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != 2:
-                    raise TreeError(f"expected 2 tab-separated fields, got {len(fields)}")
-                items.append((g.encode(fields[0]), deserialize(g, fields[1])))
-            except (TreeError, GrammarError) as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-    return items
 
 
 def write_pairs(g: Grammar, pairs, path) -> None:

@@ -33,6 +33,22 @@ class Ast:
     rule_id: int
     children: tuple = ()
 
+    # The dataclass's own == and hash, recursing one frame per level; a
+    # tree too deep for Python's stack raises TreeError, as the walks do.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:
+            return (self.rule_id, self.children) == (other.rule_id, other.children)
+        except RecursionError as exc:
+            raise TreeError(f"tree too deep to compare: {exc}") from None
+
+    def __hash__(self):
+        try:
+            return hash((self.rule_id, self.children))
+        except RecursionError as exc:
+            raise TreeError(f"tree too deep to hash: {exc}") from None
+
 
 def validate_tree(g: Grammar, t: Ast) -> None:
     """Raise TreeError unless every node's children match its rule's rhs."""

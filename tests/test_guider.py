@@ -598,6 +598,26 @@ def test_training_log_deterministic(g):
     assert log1 == log2 and len(log1) == 2
 
 
+def _balanced_batch_per_pool(rng, by_nt, size):
+    """_balanced_batch with one scalar draw per pool, as it once was."""
+    nts = sorted(by_nt)
+    batch = []
+    for k in rng.integers(0, len(nts), size=size):
+        pool = by_nt[nts[k]]
+        batch.append(pool[int(rng.integers(0, len(pool)))])
+    return batch
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (1, 2, 3, 7), (5, 700, 40_000, 1)])
+def test_balanced_batch_matches_a_draw_per_pool(sizes):
+    by_nt = {nt: [(nt, i) for i in range(n)] for nt, n in enumerate(sizes)}
+    for seed in range(5):
+        one, per_pool = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (guider._balanced_batch(one, by_nt, 64)
+                == _balanced_batch_per_pool(per_pool, by_nt, 64))
+        assert one.bit_generator.state == per_pool.bit_generator.state
+
+
 # sha256 of the model file and of the log that one small train() run
 # writes, recorded before training's loss and held-out accuracy shared one
 # masked head. A change to training's arithmetic changes one of them.

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-import re
 import weakref
 from collections import Counter
 
@@ -10,7 +9,7 @@ import pytest
 
 from conftest import enumerated_trees
 from ngparse import sampler
-from ngparse.grammar import GrammarError, build_grammar
+from ngparse.grammar import build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import (
     SampleBucket,
@@ -19,7 +18,6 @@ from ngparse.sampler import (
     derive_seed,
     extract_training_pairs,
     feasible_cells,
-    read_corpus,
     sample_corpus,
     sample_program,
     write_corpus,
@@ -225,28 +223,16 @@ def test_seed_namespaces_disjoint():
 
 def test_corpus_file_roundtrip(g, tmp_path):
     corpus = sample_corpus(g, SampleBucket(5, 15, 1, 9, seed=11), 30)
+    corpus.append((g.encode("v0 = 1 ;"), deserialize(g, "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))")))
     path = tmp_path / "corpus.tsv"
     write_corpus(g, corpus, path)
-    back = read_corpus(g, path)
-    assert back == corpus
-
-
-@pytest.mark.parametrize(
-    "line,problem",
-    [
-        ("v0 = 1 ;", "expected 2 tab-separated fields, got 1"),
-        ("v0 = 1 ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))\tx", "expected 2 tab-separated fields, got 3"),
-        ("v0 = 1 ;\t(S2 (A1 (V1)", "expected ')'"),
-        ("v0 = frob ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))", "unknown terminal: 'frob'"),
-    ],
-    ids=["no-tab", "two-tabs", "bad-tree", "unknown-word"],
-)
-def test_malformed_corpus_line_names_its_line(g, tmp_path, line, problem):
-    path = tmp_path / "corpus.tsv"
-    path.write_text("v0 = 1 ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))\n\n" + line + "\n")
-    error = GrammarError if "frob" in line else TreeError
-    with pytest.raises(error, match=f"^line 3: {re.escape(problem)}"):
-        read_corpus(g, path)
+    lines = path.read_text().split("\n")
+    assert lines.pop() == "" and len(lines) == 31
+    assert lines[-1] == "v0 = 1 ;\t(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"
+    for line, (tokens, t) in zip(lines, corpus):
+        assert line == f"{g.decode(tokens)}\t{serialize(g, t)}"
+        program, text = line.split("\t")
+        assert (g.encode(program), deserialize(g, text)) == (tokens, t)
 
 
 def test_pairs_file_lines_are_exact(g, tmp_path):
@@ -360,7 +346,7 @@ def test_draws_are_pinned(g):
                     if not (tab.exact(nt.id, d, l) if exact else tab.leq[nt.id][d][l]):
                         continue
                     for _ in range(3):
-                        t = sampler._sample(tab, words, nt.id, d, l, exact)
+                        t = sampler._sample(tab, words, nt.id, d, l, exact, [])
                         h.update(f"{nt.name} {d} {l} {exact} {serialize(g, t)}\n".encode())
     assert h.hexdigest() == PINNED_EDGE_SHA256
 
@@ -371,6 +357,49 @@ def test_draws_are_pinned(g):
 )
 def test_sample_program_is_the_first_of_a_corpus(g, bucket):
     assert sample_program(g, bucket) == sample_corpus(g, bucket, 1)[0]
+
+
+def _assert_drawn_pair(g, tokens, t):
+    """tokens is t's yield (so t also passes the checked walk) and every
+    leaf of t is the grammar's own."""
+    assert type(tokens) is tuple and pretty_print(g, t) == tokens
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not node.children:
+            assert node is g.leaves[node.rule_id]
+        stack.extend(node.children)
+
+
+@pytest.mark.parametrize(
+    "bucket", PINNED_BUCKETS,
+    ids=lambda b: f"{b.min_length}:{b.max_length}:{b.min_depth}:{b.max_depth}",
+)
+def test_drawn_tokens_are_the_yield_and_leaves_are_shared(bucket):
+    g = build_grammar()
+    drawn = sample_corpus(g, bucket, 40)
+    for tokens, t in drawn:
+        _assert_drawn_pair(g, tokens, t)
+    sampler._table(g, 16, 45)  # the count table grows
+    again = sample_corpus(g, bucket, 40)
+    assert again == drawn
+    for tokens, t in again:
+        _assert_drawn_pair(g, tokens, t)
+
+
+def test_depth_at_most_draws_emit_the_yield(g):
+    tab = sampler._table(g, 9, 15)
+    words = sampler._Words(np.random.default_rng(8))
+    try:
+        for nt in g.nonterminals:
+            for l in range(16):
+                for _ in range(3 if tab.leq[nt.id][9][l] else 0):
+                    out = []
+                    t = sampler._sample(tab, words, nt.id, 9, l, False, out)
+                    assert len(out) == l and depth(t) <= 9
+                    _assert_drawn_pair(g, tuple(out), t)
+    finally:
+        words.close()
 
 
 # sha256 of the draws and of the generator's state after them, as the
@@ -400,7 +429,7 @@ def test_a_failed_draw_leaves_the_generator_after_the_words_it_used(g, monkeypat
     def tenth_node_fails(tab, words, *args):
         calls.append(args)
         if len(calls) == 10:
-            used.append(words.served + words.pos)
+            used.append(words.served())
             raise RuntimeError("draw failed")
         return sample(tab, words, *args)
 

@@ -156,6 +156,18 @@ def test_tree_too_deep_for_the_stack_raises_tree_error(g):
             walk(g, t)
 
 
+def test_hash_and_equality_of_a_tree_too_deep_for_the_stack_raise_tree_error(g):
+    t, twin = _s1_chain(g, 2000), _s1_chain(g, 2000)
+    for op in (hash, lambda t: t == twin, lambda t: t != twin, lambda t: {t}):
+        with pytest.raises(TreeError, match="^tree too deep to (hash|compare)"):
+            op(t)
+    # Within the stack: the values of the dataclass's own == and hash.
+    small, small_twin = _s1_chain(g, 3), _s1_chain(g, 3)
+    assert small == small_twin and not small != small_twin
+    assert small != _s1_chain(g, 2) and small != (small.rule_id, small.children)
+    assert hash(small) == hash(small_twin) == hash((small.rule_id, small.children))
+
+
 def test_deep_tree_that_validates_also_writes(g):
     text = serialize(g, _s1_chain(g, 800))
     assert text.count("(S1 ") == 800
