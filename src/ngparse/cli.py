@@ -4,8 +4,11 @@ Subcommands: gen, train, infer, search, eval, parse, inspect-grammar,
 inspect-model. Exit codes: 0 success, 1 usage error, 2 runtime error.
 Diagnostics go to stderr, data to stdout. infer, search and parse print
 ERROR bad_input for a line with an unknown terminal and ERROR <reason> for
-a line that does not parse; any other failure exits 2. An optional --config
-file of key=value lines supplies defaults; explicit flags win.
+a line that does not parse; any other failure exits 2. infer and search
+run each line through the runners eval uses, so a reason is the one eval
+counts. inspect-grammar prints the rule table that model files are
+fingerprinted by. An optional --config file of key=value lines supplies
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import dataclasses
 import sys
 
 from . import evaluate, guider, sampler
-from .engine import MODES, InferConfig, InferenceError, infer, model_selector
-from .grammar import GrammarError, Token, build_grammar
+from .engine import MODES, InferConfig, model_selector
+from .grammar import GrammarError, build_grammar
 from .parser import ParseError, reference_parse
-from .search import SearchConfig, iddfs_parse
+from .search import SearchConfig
 from .tree import serialize
 
 __all__ = ["main"]
@@ -193,11 +196,11 @@ def _cmd_train(g, args) -> int:
     return 0
 
 
-def _serve(g, answer) -> int:
+def _serve(g, run) -> int:
     """One stdout line per nonblank stdin line: ERROR bad_input for a line
-    with an unknown terminal, otherwise answer(tokens). Anything answer
-    raises is a fault of the model or the program, not of the line: it
-    propagates and main exits 2."""
+    with an unknown terminal, otherwise run(tokens)'s tree, or ERROR and
+    its reason. Anything run raises is a fault of the model or the
+    program, not of the line: it propagates and main exits 2."""
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -207,32 +210,19 @@ def _serve(g, answer) -> int:
         except GrammarError:
             print("ERROR bad_input")
             continue
-        print(answer(tokens))
+        tree, reason = run(tokens)
+        print(f"ERROR {reason}" if tree is None else serialize(g, tree))
     return 0
 
 
 def _cmd_infer(g, args) -> int:
     model = guider.load_model(args.model, g)
-    selector = model_selector(g, model)
     cfg = _config(InferConfig, args)
-
-    def answer(tokens):
-        try:
-            return serialize(g, infer(g, tokens, selector, cfg))
-        except InferenceError as exc:
-            return f"ERROR {exc.kind}"
-
-    return _serve(g, answer)
+    return _serve(g, evaluate.infer_runner(g, model_selector(g, model), cfg))
 
 
 def _cmd_search(g, args) -> int:
-    cfg = _config(SearchConfig, args)
-
-    def answer(tokens):
-        res = iddfs_parse(g, tokens, cfg)
-        return serialize(g, res.tree) if res.status == "found" else f"ERROR {res.status}"
-
-    return _serve(g, answer)
+    return _serve(g, evaluate.search_runner(g, _config(SearchConfig, args)))
 
 
 def _cmd_eval(g, args) -> int:
@@ -257,21 +247,18 @@ def _cmd_eval(g, args) -> int:
 
 
 def _cmd_parse(g, args) -> int:
-    def answer(tokens):
+    def run(tokens):
         try:
-            return serialize(g, reference_parse(g, tokens))
+            return reference_parse(g, tokens), None
         except ParseError as exc:
-            return f"ERROR {exc}"
+            return None, exc
 
-    return _serve(g, answer)
+    return _serve(g, run)
 
 
 def _cmd_inspect_grammar(g, args) -> int:
-    for r in g.rules:
-        rhs = " ".join(
-            s.text if isinstance(s, Token) else s.name for s in r.rhs
-        )
-        print(f"{r.id}\t{r.lhs.name} -> {rhs}")
+    for line in g.rule_lines():
+        print(line)
     return 0
 
 

@@ -1,6 +1,10 @@
 """Generalization study: exact-match and latency grids over exact
 (depth, length) cells, for guided inference and the search baseline.
 
+infer_runner and search_runner turn each parser's outcome into a tree
+or a failure reason; the grid and `ngparse infer` and `ngparse search`
+all run through them.
+
 Each cell samples fresh programs from a seed space disjoint from
 training ("eval" namespace vs "train"), runs every requested method on
 the same programs, and scores exact tree match against the generator's
@@ -25,7 +29,9 @@ from .sampler import (
 )
 from .search import SearchConfig, iddfs_parse
 
-__all__ = ["EvalRecord", "check_methods", "evaluate_grid", "write_csv"]
+__all__ = [
+    "EvalRecord", "check_methods", "evaluate_grid", "infer_runner", "search_runner", "write_csv"
+]
 
 # Guided methods and the engine mode each runs; search and oracle need no model.
 _GUIDED_MODES = {"ngsi": "fallback", "greedy": "greedy", "beam": "beam"}
@@ -55,22 +61,8 @@ def check_methods(methods, have_model: bool) -> None:
         raise ValueError(f"methods {needs_model} require a model")
 
 
-def _make_runner(g, method, model, search_cfg):
-    if method == "search":
-        cfg = search_cfg or SearchConfig()
-
-        def run(tokens):
-            res = iddfs_parse(g, tokens, cfg)
-            return res.tree, (None if res.status == "found" else res.status)
-
-        return run
-
-    if method == "oracle":
-        selector = oracle_selector(g)
-        cfg = InferConfig()
-    else:
-        selector = model_selector(g, model)
-        cfg = InferConfig(mode=_GUIDED_MODES[method])
+def infer_runner(g, selector, cfg: InferConfig):
+    """run(tokens) -> (tree, None), or (None, the InferenceError's kind)."""
 
     def run(tokens):
         try:
@@ -79,6 +71,24 @@ def _make_runner(g, method, model, search_cfg):
             return None, exc.kind
 
     return run
+
+
+def search_runner(g, cfg: SearchConfig):
+    """run(tokens) -> (tree, None), or (None, the search's status)."""
+
+    def run(tokens):
+        res = iddfs_parse(g, tokens, cfg)
+        return (res.tree, None) if res.status == "found" else (None, res.status)
+
+    return run
+
+
+def _make_runner(g, method, model, search_cfg):
+    if method == "search":
+        return search_runner(g, search_cfg or SearchConfig())
+    if method == "oracle":
+        return infer_runner(g, oracle_selector(g), InferConfig())
+    return infer_runner(g, model_selector(g, model), InferConfig(mode=_GUIDED_MODES[method]))
 
 
 def evaluate_grid(

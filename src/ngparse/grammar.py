@@ -322,15 +322,18 @@ class Grammar:
 
     # -- fingerprints ------------------------------------------------------
 
+    def rule_lines(self) -> list:
+        """The canonical rule table, one line per rule: its id, a tab, then
+        "lhs -> rhs"."""
+        return [
+            f"{r.id}\t{r.lhs.name} -> "
+            + " ".join(s.name if isinstance(s, Nonterminal) else s.text for s in r.rhs)
+            for r in self.rules
+        ]
+
     def rule_fingerprint(self) -> int:
         """64-bit digest of the canonical rule table."""
-        lines = []
-        for r in self.rules:
-            rhs = " ".join(
-                s.name if isinstance(s, Nonterminal) else s.text for s in r.rhs
-            )
-            lines.append(f"{r.id}\t{r.lhs.name} -> {rhs}")
-        return _digest64("\n".join(lines))
+        return _digest64("\n".join(self.rule_lines()))
 
     def vocab_fingerprint(self) -> int:
         return _digest64("\n".join(f"{t.id}\t{t.text}" for t in self.vocabulary))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sampler
 from .grammar import Grammar, Nonterminal, check_int, check_number
 
 __all__ = [
@@ -495,10 +496,6 @@ def train(g: Grammar, schedule, config: TrainConfig = None):
     once held-out step accuracy reaches config.early_stop_acc. Returns
     (model, log rows); each row is (stage, iteration, loss, heldout_acc).
     """
-    # Looked up at call time, so a patch of these sampler attributes (as
-    # perfbench's --trace does) reaches the loop.
-    from .sampler import extract_training_pairs, sample_corpus
-
     cfg = config or TrainConfig()
     model = init_model(g, d_emb=cfg.d_emb, d_h=cfg.d_h, seed=cfg.seed)
     state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
@@ -506,11 +503,11 @@ def train(g: Grammar, schedule, config: TrainConfig = None):
 
     for stage, bucket in enumerate(schedule):
         rng = np.random.default_rng(derive(cfg.seed, stage))
-        corpus = sample_corpus(g, bucket, cfg.programs_per_stage, rng)
-        heldout_corpus = sample_corpus(g, bucket, cfg.heldout_programs, rng)
-        pairs = [p for _, t in corpus for p in extract_training_pairs(g, t)]
+        corpus = sampler.sample_corpus(g, bucket, cfg.programs_per_stage, rng)
+        heldout_corpus = sampler.sample_corpus(g, bucket, cfg.heldout_programs, rng)
+        pairs = [p for _, t in corpus for p in sampler.extract_training_pairs(g, t)]
         heldout = [
-            p for _, t in heldout_corpus for p in extract_training_pairs(g, t)
+            p for _, t in heldout_corpus for p in sampler.extract_training_pairs(g, t)
         ]
         by_nt = {}
         for p in pairs:
@@ -531,9 +528,7 @@ def train(g: Grammar, schedule, config: TrainConfig = None):
 
 
 def derive(seed: int, stage: int) -> int:
-    from .sampler import derive_seed
-
-    return derive_seed("train-stage", seed, stage)
+    return sampler.derive_seed("train-stage", seed, stage)
 
 
 def write_training_log(log, path) -> None:

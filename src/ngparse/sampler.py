@@ -117,12 +117,12 @@ class _CountTable:
     """Tree counts by (depth bound, exact yield length), per nonterminal.
 
     leq[nt][d][l] : trees rooted at nt with depth <= d and yield length l.
-    rule_counts and suffixes are memoised on first use; suffixes makes
-    every convolution. Count arrays are indexed by yield length up to
-    max_length and hold exact Python integers (they overflow floats
-    quickly). So are the sampler's picks: each rule, plan and child
-    length pick keeps its cumulative weights, the running sums of the
-    trees each choice leaves. shapes holds each rule's rhs by rule id,
+    suffixes and the sampler's picks are memoised on first use; suffixes
+    makes every convolution, and leq and every pick sum its arrays. Count
+    arrays are indexed by yield length up to max_length and hold exact
+    Python integers (they overflow floats quickly). Each rule, plan and
+    child length pick keeps its cumulative weights, the running sums of
+    the trees each choice leaves. shapes holds each rule's rhs by rule id,
     a token id per terminal and None per nonterminal; leaves is the
     grammar's.
     """
@@ -136,7 +136,6 @@ class _CountTable:
             tuple(s.id if isinstance(s, Token) else None for s in r.rhs) for r in g.rules
         )
         self._zeros = [0] * (max_length + 1)
-        self._rule_counts = {}
         self._suffixes = {}
         self._rule_picks = {}
         self._plan_picks = {}
@@ -144,7 +143,11 @@ class _CountTable:
         self.leq = {nt.id: [self._zeros] for nt in g.nonterminals}
         for d in range(1, max_depth + 1):
             for nt in g.nonterminals:
-                self.leq[nt.id].append(self._total(self.rule_counts(nt.id, d, False)))
+                self.leq[nt.id].append(self._total(
+                    self.suffixes(r, p)[1][0]
+                    for r in self.rules_by_lhs[nt.id]
+                    for p in _plans(r, d, False)
+                ))
 
     def exact(self, nt_id: int, d: int, l: int) -> int:
         if d < 1 or d > self.max_depth or l > self.max_length:
@@ -154,18 +157,6 @@ class _CountTable:
     def _total(self, arrays) -> list:
         """Elementwise sum; all zeros when there are no arrays."""
         return [sum(c) for c in zip(self._zeros, *arrays)]
-
-    def rule_counts(self, nt_id: int, d: int, exact: bool) -> list:
-        """Per rule of nt, its trees by length at depth <= d (or exactly d):
-        the sum over the rule's plans."""
-        key = (nt_id, d, exact)
-        out = self._rule_counts.get(key)
-        if out is None:
-            out = self._rule_counts[key] = [
-                self._total(self.suffixes(r, p)[1][0] for p in _plans(r, d, exact))
-                for r in self.rules_by_lhs[nt_id]
-            ]
-        return out
 
     def suffixes(self, rule, plan) -> tuple:
         """(arrays, suffixes) of a rule under a plan: arrays[j] counts child
@@ -194,9 +185,10 @@ class _CountTable:
         key = (nt_id, d, l, exact)
         cum = self._rule_picks.get(key)
         if cum is None:
-            cum = self._rule_picks[key] = list(
-                accumulate(c[l] for c in self.rule_counts(nt_id, d, exact))
-            )
+            cum = self._rule_picks[key] = list(accumulate(
+                sum(self.suffixes(r, p)[1][0][l] for p in _plans(r, d, exact))
+                for r in self.rules_by_lhs[nt_id]
+            ))
         return cum
 
     def plan_pick(self, rule, d: int, l: int) -> tuple:

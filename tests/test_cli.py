@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env, save_with_tensors
-from ngparse import cli, engine, evaluate, guider, search
+from ngparse import cli, engine, evaluate, grammar, guider, search
 
 
 def run_cli(args, stdin=""):
@@ -28,6 +28,7 @@ def test_inspect_grammar(g):
     assert len(lines) == 32
     assert lines[0] == "0\tStmt -> SimpStmt ; Stmt"
     assert lines[1] == "1\tStmt -> SimpStmt ;"
+    assert grammar._digest64("\n".join(lines)) == g.rule_fingerprint()
 
 
 def test_unknown_flag_exits_one():
@@ -202,7 +203,7 @@ def test_fault_during_parse_exits_two(args, target, monkeypatch, capsys):
     def broken(*a, **kw):
         raise ValueError("injected fault")
 
-    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr({"iddfs_parse": evaluate, "reference_parse": cli}[target], target, broken)
     monkeypatch.setattr(sys, "stdin", io.StringIO("v0 = 1 ;\nv0 v0 ;\n"))
     assert cli.main(args) == 2
     out, err = capsys.readouterr()
@@ -311,7 +312,7 @@ def test_flag_left_out_takes_the_config_default(small_model_path, tmp_path, monk
     monkeypatch.setattr(guider, "TrainConfig", _Train)
     monkeypatch.setattr(cli, "InferConfig", _Infer)
     monkeypatch.setattr(cli, "SearchConfig", _Search)
-    for name, owner in (("train", guider), ("infer", cli), ("iddfs_parse", cli)):
+    for name, owner in (("train", guider), ("infer", evaluate), ("iddfs_parse", evaluate)):
         monkeypatch.setattr(owner, name, capture)
     monkeypatch.setattr(evaluate, "evaluate_grid", lambda *a, search_cfg, **kw: capture(search_cfg))
     for argv in (["train", "--out", str(tmp_path / "m.bin")],

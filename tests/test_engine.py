@@ -18,6 +18,7 @@ from ngparse.engine import (
 )
 from ngparse.grammar import GrammarError, Nonterminal
 from ngparse.guider import predict_rule_distribution
+from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, derive_seed, sample_corpus
 from ngparse.tree import pretty_print, serialize
 
@@ -493,3 +494,57 @@ def test_beam_parses_the_benchmark_pool_that_exhausted_it(g):
             pass
         wrong.append(i)
     assert wrong == []
+
+
+def _hostile_inputs(g):
+    """120 token-id tuples: 25 sampled programs of length 20-40 and depth
+    <= 14, each with one token deleted, one inserted, two neighbours
+    swapped and one substituted, then 20 random id strings of length
+    5-40."""
+    rng = np.random.default_rng(derive_seed("hostile-inputs"))
+    v = len(g.vocabulary)
+    out = []
+    for toks, _ in sample_corpus(g, SampleBucket(20, 40, 1, 14), 25, rng):
+        n = len(toks)
+        i = int(rng.integers(n))
+        out.append(toks[:i] + toks[i + 1 :])
+        i, t = int(rng.integers(n + 1)), int(rng.integers(v))
+        out.append(toks[:i] + (t,) + toks[i:])
+        i = int(rng.integers(n - 1))
+        out.append(toks[:i] + (toks[i + 1], toks[i]) + toks[i + 2 :])
+        i, t = int(rng.integers(n)), int(rng.integers(v))
+        out.append(toks[:i] + (t,) + toks[i + 1 :])
+    for _ in range(20):
+        out.append(tuple(int(t) for t in rng.integers(v, size=int(rng.integers(5, 41)))))
+    return out
+
+
+PINNED_HOSTILE_SHA256 = "de8552f87e81e284440cd18b185b6acab3bf922ba9ad4a287d76874c8b0b19ee"
+
+
+def test_hostile_inputs_are_typed_and_pinned(g):
+    # Fallback is complete here: it finds the reference tree exactly when
+    # one exists. Greedy and beam may miss it, but only with a typed error.
+    selector = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    inputs = _hostile_inputs(g)
+    assert len(inputs) == 120
+    h = hashlib.sha256()
+    for tokens in inputs:
+        try:
+            ref = reference_parse(g, tokens)
+        except ParseError:
+            ref = None
+        for mode in ("fallback", "greedy", "beam"):
+            try:
+                out = infer(g, tokens, selector, InferConfig(mode=mode))
+            except InferenceError as exc:
+                out = exc
+            if mode == "fallback":
+                assert (out == ref) if ref is not None else isinstance(out, InferenceError)
+            elif isinstance(out, InferenceError):
+                assert isinstance(out, (Unparseable, DepthLimitExceeded)), (mode, tokens)
+            else:
+                assert out == ref, (mode, tokens)
+            kind = out.kind if isinstance(out, InferenceError) else "tree"
+            h.update(f"{mode}\t{tokens}\t{kind}\n".encode())
+    assert h.hexdigest() == PINNED_HOSTILE_SHA256

@@ -309,6 +309,10 @@ def test_count_table_matches_tree_enumeration(g):
                 leq = sum(cells[(dd, l)] for dd in range(1, d + 1))
                 assert tab.exact(nt.id, d, l) == exact, (nt.name, d, l)
                 assert tab.leq[nt.id][d][l] == leq, (nt.name, d, l)
+                if exact:
+                    assert tab.rule_pick(nt.id, d, l, True)[-1] == exact, (nt.name, d, l)
+                if leq:
+                    assert tab.rule_pick(nt.id, d, l, False)[-1] == leq, (nt.name, d, l)
 
 
 # sha256 of the draws below as the sampler made them before its "<= d" and
