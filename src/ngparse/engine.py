@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 from .decompose import DecompositionFailure, decompose
 from .grammar import Grammar, Nonterminal, check_int
-from .guider import GuiderModel, _unknown_token as _unknown_guider_token, predict_rule_distribution
+from .guider import (
+    KEPT_TOKENS,
+    GuiderModel,
+    _unknown_token as _unknown_guider_token,
+    predict_rule_distribution,
+)
 from .parser import ParseError, reference_parse
+from .search import share_subtrees
 from .tree import Ast, TreeError, pretty_print
 
 __all__ = [
@@ -62,39 +68,54 @@ class InferConfig:
             check_int(name, getattr(self, name), 1)
 
 
+# The most prefix states and answers one model_selector keeps at a time.
+KEPT_MAX = 16_384
+
+
 def model_selector(g: Grammar, model: GuiderModel):
     """Selector backed by the trained guider: returns a tuple of
     (rule_id, logprob) pairs for applicable rules, best first.
 
-    The selector keeps, for its lifetime, what depends only on the model
-    and the token ids. First, the encoder's tables (guider.encode's "proj"
-    and "prefixes"): each token's projection row and the state after each
-    prefix of one or two tokens it has encoded, at most V + V**2 states
-    (1,122 for build_grammar()). It puts them into the states of each
-    infer call. Second, the answer for each span of one or two tokens it
-    has been asked about, keyed by (tokens, nt): at most (V + V**2)·|NT|
-    answers (1,122 × 8 for build_grammar(); 60 serve 57% of beam-short's
-    asks). A span's token ids are checked before the lookup, so a bad id
-    raises GuiderError as on a miss, and a nonterminal foreign to g never
-    hits and raises GrammarError. A kept answer is the value the same call
-    computes, so trees are bit-identical; answers are tuples, so no caller
-    can change a kept one. It reads the weights when it first needs them,
-    so after changing a model in place, make a new selector.
+    The selector keeps, across parses, what depends only on the model and
+    the token ids, with K = guider.KEPT_TOKENS (4): under "proj" and
+    "prefixes" guider.encode's tables, each token's projection row and the
+    state after each prefix of at most K tokens it has encoded; under
+    "answers" its answer for each span of at most K tokens it has been
+    asked about, keyed by (tokens, nt). It puts all three into the states
+    of each infer call. The prefix states and answers are bounded by the
+    input stream, not the grammar, so together they hold at most KEPT_MAX
+    entries: when an ask that misses could take them past it, both tables
+    are cleared and refill as asks come. At d_h 256 a state takes about
+    1.25 KB and an answer at most about 1 KB (tracemalloc), so full tables
+    take at most about 20.5 MB. One pass over perfbench's pools (seed 3) fills
+    3,458 entries on fallback-long and 3,127 on beam-short, where the
+    answers serve 28% and 65% of the asks. A span's token ids are checked
+    before the lookup, so a bad id raises GuiderError as on a miss, and a
+    nonterminal foreign to g never hits and raises GrammarError. A kept
+    answer, like a recomputed state, has the bits the same call computes
+    afresh, so trees are bit-identical, before and after a clear; answers
+    are tuples, so no caller can change a kept one. It reads the weights
+    when it first needs them, so after changing a model in place, make a
+    new selector.
     """
     model.check_grammar(g)
-    kept = {"proj": {}, "prefixes": {}}
-    answers = {}
+    kept = {"proj": {}, "prefixes": {}, "answers": {}}
+    prefixes, answers = kept["prefixes"], kept["answers"]
 
     def select(tokens, nt: Nonterminal, states: dict):
         if not states:
             states.update(kept)
-        short = len(tokens) <= 2
+        short = len(tokens) <= KEPT_TOKENS
         if short:
             g.check_tokens(tokens, _unknown_guider_token)
             key = (tuple(tokens), nt)
             ranked = answers.get(key)
             if ranked is not None:
                 return ranked
+        # a miss keeps at most K states and one answer
+        if len(prefixes) + len(answers) + KEPT_TOKENS + 1 > KEPT_MAX:
+            prefixes.clear()
+            answers.clear()
         probs = predict_rule_distribution(g, tokens, nt, model, states=states)
         ranked = tuple(sorted(
             ((r.id, math.log(probs[r.id]) if probs[r.id] > 0 else -math.inf)
@@ -141,11 +162,11 @@ def infer(
     a span of the input. states is one dict per infer call, for the
     selector to keep what its calls on this input share; it is dropped when
     the call returns. model_selector puts its own tables into it, which
-    outlive the call, and keeps in it the states after the prefixes of
-    three or more tokens, which do not (see guider.encode). It also keeps
-    its answers for spans of one or two tokens across calls, at most
-    (V + V**2)·|NT| of them, which serve 57% of beam-short's asks; trees
-    are bit-identical to asking afresh.
+    outlive the call: the states after the prefixes of at most
+    guider.KEPT_TOKENS (4) tokens and its answers for spans that short, at
+    most KEPT_MAX of them together. The states after longer prefixes it
+    keeps in states itself, so they end with the call (see guider.encode).
+    Trees are bit-identical to asking afresh.
     Within a call the selector is asked about each (span, nt) at most once,
     and only when its answer can change the result: when at least two
     candidates decompose the span in fallback, at least one in greedy and
@@ -160,7 +181,10 @@ def infer(
     (top-ranked rule only) search them depth first; beam keeps the
     best-scoring partial derivations of each level. An empty input, or one
     with a token id outside the vocabulary, raises Unparseable before any
-    work; so does a token id that is not an integer.
+    work; so does a token id that is not an integer. The result's subtrees
+    of at most three tokens are the grammar's shared copies
+    (search.share_subtrees), so a caller that keeps many results holds about
+    a third of the bytes; compare trees with ==.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -204,6 +228,7 @@ def infer(
             result = _infer_beam(g, expand, tokens, nt, cfg)
         else:
             result = _infer_dfs(g, expand, tokens, nt, cfg.max_recursion_depth, 1)
+        result = share_subtrees(g, result)
         consistent = pretty_print(g, result) == tokens
     except (RecursionError, TreeError) as exc:
         # The trees built here are well formed, so the verification walk

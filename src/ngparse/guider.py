@@ -288,21 +288,27 @@ def _unknown_token(tok, pos) -> GuiderError:
     return GuiderError(f"unknown token id {tok}")
 
 
+# Prefixes of at most this many tokens, and spans this short, are what a
+# caller may keep across inputs (see encode and engine.model_selector).
+KEPT_TOKENS = 4
+
+
 def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarray:
     """Final hidden state of the encoder for one token sequence.
 
     states is what calls share: under "proj" the input projection table
-    {token id: embedding[id] @ W}; under "prefixes" a trie {token id:
-    (state after that token, child trie)} of the prefixes of one and two
-    tokens; and under each two-token prefix (a, b) the trie of the longer
-    prefixes that start with it. Each entry is made on first use, and the
-    GRU runs only for the tokens past the longest prefix already there.
-    The first two tables depend only on the model and the token ids, so a
-    caller may keep them across inputs (model_selector does: at most V +
-    V**2 states); the others belong to one input. The states are those of
-    a batch-1 _forward, bit for bit. Without states all are fresh, so
-    nothing is reused. Every token id is checked before any table is
-    touched.
+    {token id: embedding[id] @ W}; under "prefixes" the table {prefix:
+    state after it} of the prefixes of 1 to KEPT_TOKENS tokens; and under
+    each KEPT_TOKENS-token prefix p a trie {token id: (state after that
+    token, child trie)} of the longer prefixes that start with p. Each
+    entry is made on first use, and the GRU runs only for the tokens past
+    the longest prefix already there. The first two tables depend only on
+    the model and the token ids, so a caller may keep them across inputs
+    (model_selector does, under a cap); the tries belong to one input.
+    The states are those of a batch-1 _forward, bit for bit, so a table
+    cleared and refilled gives the same states. Without states all are
+    fresh, so nothing is reused. Every token id is checked before any
+    table is touched.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -310,19 +316,29 @@ def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarra
     g.check_tokens(tokens, _unknown_token)
     states = {} if states is None else states
     proj = states.setdefault("proj", {})
-    node = states.setdefault("prefixes", {})
-    emb = m.params["embedding"]
-    h = np.zeros(m.U_h.shape[0], dtype=emb.dtype)
-    for depth, tid in enumerate(tokens):
-        if depth == 2:
-            node = states.setdefault(tokens[:2], {})
-        entry = node.get(tid)
-        if entry is None:
-            xw = proj.get(tid)
-            if xw is None:
-                xw = proj[tid] = emb[tid] @ m.W
-            entry = node[tid] = (_gru_step(m.U_zr, m.U_h, m.b, xw, h)[0], {})
-        h, node = entry
+    kept = states.setdefault("prefixes", {})
+
+    def step(h, tid):
+        xw = proj.get(tid)
+        if xw is None:
+            xw = proj[tid] = m.params["embedding"][tid] @ m.W
+        return _gru_step(m.U_zr, m.U_h, m.b, xw, h)[0]
+
+    # the longest kept prefix, then the kept ones past it
+    n = depth = min(len(tokens), KEPT_TOKENS)
+    while depth and (h := kept.get(tokens[:depth])) is None:
+        depth -= 1
+    if not depth:
+        h = np.zeros(m.U_h.shape[0], dtype=m.params["embedding"].dtype)
+    for i in range(depth, n):
+        h = kept[tokens[: i + 1]] = step(h, tokens[i])
+    if len(tokens) > n:
+        node = states.setdefault(tokens[:n], {})
+        for tid in tokens[n:]:
+            entry = node.get(tid)
+            if entry is None:
+                entry = node[tid] = (step(h, tid), {})
+            h, node = entry
     return h
 
 

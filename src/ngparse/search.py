@@ -21,8 +21,9 @@ from .tree import Ast
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
 
-# A found tree's subtrees of at most _SHARE_MAX_YIELD tokens are swapped for
-# one copy per grammar (build_grammar() has 1,530 such trees), so a caller
+# A found tree's subtrees of at most _SHARE_MAX_YIELD tokens, and those of
+# engine.infer's results, are swapped for one copy per grammar
+# (build_grammar() has 1,530 such trees), so a caller
 # that keeps many results, as perfbench's closed loop does, holds about a
 # third of the bytes; once a grammar's table holds _SHARE_MAX_ENTRIES,
 # subtrees not in it stay as they are.
@@ -118,7 +119,7 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
                 if end == n:
                     return SearchResult(
                         "found",
-                        tree=_share(g, tree),
+                        tree=share_subtrees(g, tree),
                         depth_limit=limit,
                         elapsed_s=time.perf_counter() - start_time,
                         nodes_expanded=expanded,
@@ -134,7 +135,7 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
     )
 
 
-def _share(g: Grammar, tree: Ast) -> Ast:
+def share_subtrees(g: Grammar, tree: Ast) -> Ast:
     """tree with each small subtree replaced by the grammar's one copy of
     it, in one bottom-up pass."""
     table = _shared.get(g)

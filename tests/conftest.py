@@ -1,3 +1,4 @@
+import ctypes
 import os
 from collections import Counter
 from functools import lru_cache
@@ -14,6 +15,27 @@ from ngparse.sampler import curriculum_schedule
 
 # The benchmark's trained model, read but never written by the tests.
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model.bin"
+
+
+@lru_cache(maxsize=None)
+def openblas_corename():
+    """The name of the CPU kernel numpy's bundled OpenBLAS runs ("SkylakeX",
+    "Haswell", ...), which OPENBLAS_CORETYPE overrides; None when numpy
+    bundles no OpenBLAS that reports one (a system BLAS, say)."""
+    numpy_dir = Path(np.__file__).resolve().parent
+    # Linux wheels put their libraries beside numpy, macOS wheels inside it
+    libs = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"),
+            *(numpy_dir / ".dylibs").glob("*openblas*")]
+    for path in sorted(libs):
+        lib = ctypes.CDLL(str(path))
+        # numpy 2 bundles scipy-openblas, numpy 1.22-1.26 a 64-bit-int build
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
 
 
 def cli_env():

@@ -17,7 +17,7 @@ from ngparse.engine import (
     oracle_selector,
 )
 from ngparse.grammar import GrammarError, Nonterminal
-from ngparse.guider import predict_rule_distribution
+from ngparse.guider import KEPT_TOKENS, predict_rule_distribution
 from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, derive_seed, sample_corpus
 from ngparse.tree import pretty_print, serialize
@@ -177,10 +177,10 @@ def test_fallback_encodes_each_span_prefix_once_per_call(g, small_trained, monke
     prefixes = {s[:i] for s in spans for i in range(1, len(s) + 1)}
     first = len(steps)
     assert first == len(prefixes)
-    # a second call reuses the selector's one- and two-token prefixes and
-    # encodes each longer one again, once
+    # a second call reuses the selector's prefixes of up to KEPT_TOKENS
+    # tokens and encodes each longer one again, once
     infer(g, tokens, selector, cfg)
-    assert len(steps) - first == len([p for p in prefixes if len(p) >= 3])
+    assert len(steps) - first == len([p for p in prefixes if len(p) > KEPT_TOKENS])
 
 
 @pytest.mark.parametrize("mode", ["greedy", "fallback", "beam"])
@@ -204,8 +204,9 @@ def test_shared_states_do_not_change_trees(g, small_trained, mode):
 def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
     g, small_trained, monkeypatch
 ):
-    # The two inputs share their one-, two- and three-token prefixes, so the
-    # second reads the first's entries in the selector's tables.
+    # The two inputs share their prefixes of up to four tokens, so the second
+    # reads the first's entries in the selector's tables, and grows the
+    # longer prefixes of its spans from a kept state.
     encoded = []
     encode = guider.encode
 
@@ -217,17 +218,17 @@ def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
     monkeypatch.setattr(guider, "encode", recording)
     select = model_selector(g, small_trained)
     asked = []
-    for text in ("v0 = 1 + 2 ; v1 = 1 + v0 ;", "v0 = 1 * v1 ; v0 = 2 ;"):
+    for text in ("v0 = 1 + 2 ; v1 = 1 + v0 ;", "v0 = 1 + 2 * v1 ; v0 = 2 ;"):
         tokens, states = g.encode(text), {}
         for i in range(len(tokens)):
             for j in range(i + 1, len(tokens) + 1):
                 for nt in g.nonterminals:
                     asked.append((tokens[i:j], nt, select(tokens[i:j], nt, states)))
     monkeypatch.undo()
-    # One encode per ask that missed the answer memo: every span of three or
-    # more tokens, and the first ask of each (span, nt) of one or two.
-    short = {(tokens, nt) for tokens, nt, _ in asked if len(tokens) <= 2}
-    assert len(encoded) == len([a for a in asked if len(a[0]) > 2]) + len(short)
+    # One encode per ask that missed the answer memo: every span of more than
+    # KEPT_TOKENS tokens, and the first ask of each shorter (span, nt).
+    short = {(tokens, nt) for tokens, nt, _ in asked if len(tokens) <= KEPT_TOKENS}
+    assert len(encoded) == len([a for a in asked if len(a[0]) > KEPT_TOKENS]) + len(short)
     for tokens, h in encoded:
         assert np.array_equal(h, encode(g, tokens, small_trained))
     for tokens, nt, ranked in asked:
@@ -238,44 +239,44 @@ def test_selector_tables_give_the_states_and_logprobs_of_a_fresh_encode(
         ]
 
 
-def test_selector_keeps_only_prefixes_of_up_to_two_tokens(g, small_trained, monkeypatch):
+def test_selector_keeps_only_prefixes_of_up_to_four_tokens(g, small_trained, monkeypatch):
     select = model_selector(g, small_trained)
     seen, short_asks, answered = [], set(), []
     head = engine.predict_rule_distribution
 
     def counting(g_, tokens, nt, m, states=None):
-        if len(tokens) <= 2:
+        if len(tokens) <= KEPT_TOKENS:
             answered.append((tuple(tokens), nt))
         return head(g_, tokens, nt, m, states=states)
 
     def recording(tokens, nt, states):
         seen.append(states)
-        if len(tokens) <= 2:
+        if len(tokens) <= KEPT_TOKENS:
             short_asks.add((tokens, nt))
         return select(tokens, nt, states)
 
     monkeypatch.setattr(engine, "predict_rule_distribution", counting)
-    # fallback asks about no span this short here; beam asks about many.
+    # fallback asks about few spans this short here; beam asks about many.
     for mode in ("fallback", "beam"):
         for tokens, _ in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=28), 200):
             try:
                 infer(g, tokens, recording, InferConfig(mode=mode))
             except InferenceError:
                 pass
+    monkeypatch.undo()
     kept = seen[0]["prefixes"]
     assert all(states["prefixes"] is kept for states in seen)
-    V = len(g.vocabulary)
-    assert len(seen[0]["proj"]) <= V
-    held = 0
-    for _, first in kept.values():
-        held += 1 + len(first)
-        assert all(not deeper for _, deeper in first.values())
-    assert 0 < held <= V + V * V
-    # One head call per answer kept: each short (span, nt) is computed once.
-    assert 0 < len(answered) == len(short_asks) <= (V + V * V) * len(g.nonterminals)
+    assert len(seen[0]["proj"]) <= len(g.vocabulary)
+    assert {len(p) for p in kept} == set(range(1, KEPT_TOKENS + 1))
+    for prefix, h in kept.items():
+        assert np.array_equal(h, guider.encode(g, prefix, small_trained))
+    # Below the cap nothing was cleared, so each short (span, nt) was
+    # computed once: one head call per answer kept.
+    assert len(kept) + len(short_asks) <= engine.KEPT_MAX
+    assert 0 < len(answered) == len(short_asks)
 
 
-def test_selector_keeps_the_answers_for_spans_of_up_to_two_tokens(
+def test_selector_keeps_the_answers_for_spans_of_up_to_four_tokens(
     g, small_trained, monkeypatch
 ):
     heads = []
@@ -290,10 +291,10 @@ def test_selector_keeps_the_answers_for_spans_of_up_to_two_tokens(
     tokens = g.encode("v0 = 1 + v1 ; v1 = v0 * 2 ;")
     cfg = InferConfig(mode="beam")
     first = infer(g, tokens, select, cfg)
-    assert any(len(span) <= 2 for span in heads)
+    assert any(len(span) <= KEPT_TOKENS for span in heads)
     heads.clear()
     assert infer(g, tokens, select, cfg) == first
-    assert heads and all(len(span) >= 3 for span in heads)
+    assert heads and all(len(span) > KEPT_TOKENS for span in heads)
 
     # Token id 1, which True and 1.0 equal and hash like as dict keys.
     one, nt = (1,), g.start
@@ -308,6 +309,89 @@ def test_selector_keeps_the_answers_for_spans_of_up_to_two_tokens(
             select(bad, nt, {})
     with pytest.raises(GrammarError):
         select(one, Nonterminal(nt.id, "Foreign"), {})
+
+
+def _outcome(g, tokens, selector, mode):
+    try:
+        return infer(g, tokens, selector, InferConfig(mode=mode))
+    except InferenceError as exc:
+        return exc.kind
+
+
+def test_a_full_selector_clears_its_tables_and_keeps_its_answers(
+    g, small_trained, monkeypatch
+):
+    monkeypatch.setattr(engine, "KEPT_MAX", 64)
+    select, sizes = model_selector(g, small_trained), []
+
+    def capped(tokens, nt, states):
+        ranked = select(tokens, nt, states)
+        sizes.append(len(states["prefixes"]) + len(states["answers"]))
+        assert ranked == model_selector(g, small_trained)(tokens, nt, {})
+        return ranked
+
+    def unshared(tokens, nt, states):
+        return model_selector(g, small_trained)(tokens, nt, {})
+
+    rng = np.random.default_rng(derive_seed("selector-cap"))
+    V = len(g.vocabulary)
+    inputs = [t for t, _ in sample_corpus(g, SampleBucket(8, 30, 1, 11), 40, rng)]
+    inputs += [tuple(rng.integers(V, size=int(rng.integers(1, 13))).tolist()) for _ in range(20)]
+    for mode in ("fallback", "beam"):
+        for tokens in inputs:
+            assert _outcome(g, tokens, capped, mode) == _outcome(g, tokens, unshared, mode)
+    # random spans asked directly, most of them parsed by no rule
+    for _ in range(200):
+        tokens = tuple(rng.integers(V, size=int(rng.integers(1, 7))).tolist())
+        capped(tokens, g.nonterminals[int(rng.integers(len(g.nonterminals)))], {})
+    assert max(sizes) <= 64
+    # the tables filled to the cap and were cleared, more than once
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
+
+
+# GRU rows run per program of the fallback-long bucket (depth 11, length
+# 30) under the fixture model, after warming the selector on a disjoint
+# pool of the same bucket. Keeping the prefixes of at most two tokens ran
+# 4,561 rows over these 100 programs.
+PINNED_FALLBACK_ROWS = 3707
+
+
+def test_rows_run_on_fresh_programs_after_warming_are_pinned(g, monkeypatch):
+    rows = []
+    step = guider._gru_step
+    monkeypatch.setattr(guider, "_gru_step", lambda *a: rows.append(1) or step(*a))
+    select = model_selector(g, guider.load_model(FIXTURE_MODEL, g))
+    warm, fresh = (
+        [t for t, _ in sample_corpus(g, SampleBucket(30, 30, 11, 11, seed=seed), 100)]
+        for seed in (42, 43)
+    )
+    assert not set(warm) & set(fresh)
+    for tokens in warm:
+        infer(g, tokens, select, InferConfig())
+    rows.clear()
+    for tokens in fresh:
+        infer(g, tokens, select, InferConfig())
+    assert len(rows) == PINNED_FALLBACK_ROWS
+
+
+def _preorder(t):
+    yield t
+    for c in t.children:
+        yield from _preorder(c)
+
+
+@pytest.mark.parametrize("mode", ["fallback", "beam"])
+def test_results_share_their_small_subtrees(g, mode):
+    select, cfg = oracle_selector(g), InferConfig(mode=mode)
+    corpus = sample_corpus(g, SampleBucket(8, 20, 1, 10, seed=44), 20)
+    first = [infer(g, tokens, select, cfg) for tokens, _ in corpus]
+    for (tokens, truth), before in zip(corpus, first):
+        again = infer(g, tokens, select, cfg)
+        assert again == before == truth
+        # a subtree of at most three tokens is the grammar's one copy; a
+        # larger one is built afresh by each call
+        for a, b in zip(_preorder(again), _preorder(before)):
+            assert (a is b) == (len(pretty_print(g, a)) <= 3)
 
 
 # sha256 of the trees and error kinds below, one digest per mode, computed

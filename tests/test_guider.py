@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_MODEL, save_with_tensors
+from conftest import FIXTURE_MODEL, openblas_corename, save_with_tensors
 from ngparse import guider
 from ngparse.engine import model_selector
 from ngparse.grammar import Nonterminal
@@ -620,9 +620,17 @@ def test_balanced_batch_matches_a_draw_per_pool(sizes):
 
 # sha256 of the model file and of the log that one small train() run
 # writes, recorded before training's loss and held-out accuracy shared one
-# masked head. A change to training's arithmetic changes one of them.
+# masked head. A change to training's arithmetic changes one of them. The
+# model's bytes also depend on the OpenBLAS kernel, which rounds the
+# float32 products its own way (the parameters differ by at most 1.5e-8),
+# so it has one digest per kernel, each measured under OPENBLAS_CORETYPE;
+# the log's digest is the same under all of them.
 PINNED_TRAINING_SHA256 = {
-    "model": "1891f0df6b34925dedc2314ff0b28efb0b2589fc340aab7e47c9960a586d6ae4",
+    "model": {
+        "SkylakeX": "1891f0df6b34925dedc2314ff0b28efb0b2589fc340aab7e47c9960a586d6ae4",
+        "Haswell": "0d8a93fa78d58487385bb9180d0a0b6a6dd23610461c002185a8c1292391c1ea",
+        "Sandybridge": "26e0cdcc6739b34f69f83a21853cd6f813819c545f47f2f8a79bb38cee80be7c",
+    },
     "log": "8887eee965767a09fcbed0cbb0f3f6c7430df4d5a4c09a7a958cbb6c319d5e6d",
 }
 
@@ -639,7 +647,40 @@ def test_training_output_is_pinned(g, tmp_path):
         name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
         for name, file in (("model", "m.bin"), ("log", "log.csv"))
     }
-    assert digests == PINNED_TRAINING_SHA256
+    kernel = openblas_corename()
+    assert digests["log"] == PINNED_TRAINING_SHA256["log"], f"OpenBLAS kernel {kernel}"
+    mismatch = _model_digest_mismatch(kernel, digests["model"])
+    assert mismatch is None, mismatch
+
+
+def _model_digest_mismatch(kernel, digest):
+    """Why digest is not the model digest pinned for the OpenBLAS kernel, or
+    None when it is. Where the kernel cannot be read (None), any pinned
+    digest passes."""
+    pinned = PINNED_TRAINING_SHA256["model"]
+    if kernel is None:
+        if digest in pinned.values():
+            return None
+        return f"OpenBLAS kernel unknown; model digest {digest} is none of the pinned ones"
+    if kernel not in pinned:
+        return f"no model digest pinned for OpenBLAS kernel {kernel}; it reads {digest}"
+    if digest != pinned[kernel]:
+        return f"OpenBLAS kernel {kernel}: model digest {digest}, pinned {pinned[kernel]}"
+    return None
+
+
+def test_model_digest_is_checked_per_kernel_or_against_all_when_unknown():
+    pinned = PINNED_TRAINING_SHA256["model"]
+    other = "0" * 64
+    for kernel, digest in pinned.items():
+        assert _model_digest_mismatch(kernel, digest) is None
+        assert _model_digest_mismatch(None, digest) is None
+        assert kernel in _model_digest_mismatch(kernel, other)
+    assert "unknown" in _model_digest_mismatch(None, other)
+    assert "Nehalem" in _model_digest_mismatch("Nehalem", pinned["SkylakeX"])
+    assert _model_digest_mismatch("Haswell", pinned["SkylakeX"]) is not None
+    kernel = openblas_corename()
+    assert kernel is None or isinstance(kernel, str) and kernel
 
 
 # ---------------------------------------------------------------------------

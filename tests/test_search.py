@@ -98,10 +98,12 @@ def test_median_time_superlinear(g):
     for length in (8, 16):
         times, nodes = [], []
         for tokens, _ in sample_corpus(g, SampleBucket(length, length, 1, 14, seed=33), 12):
-            res = iddfs_parse(g, tokens, cfg)
-            assert res.status == "found"
-            times.append(res.elapsed_s)
-            nodes.append(res.nodes_expanded)
+            # the best of three runs, so a host slowdown during one run
+            # does not set the program's time
+            runs = [iddfs_parse(g, tokens, cfg) for _ in range(3)]
+            assert all(res.status == "found" for res in runs)
+            times.append(min(res.elapsed_s for res in runs))
+            nodes.append(runs[0].nodes_expanded)
         medians[length] = statistics.median(times)
         expanded[length] = statistics.median(nodes)
     # The work behind the times, which does not move with the host: the
