@@ -263,9 +263,9 @@ def _cmd_inspect_grammar(g, args) -> int:
 
 
 def _cmd_inspect_model(g, args) -> int:
-    model = guider.load_model(args.model, g)
-    for name in sorted(model.params):
-        shape = "x".join(str(d) for d in model.params[name].shape)
+    tensors = guider._file_tensors(guider.load_model(args.model, g).params)
+    for name in sorted(tensors):
+        shape = "x".join(str(d) for d in tensors[name].shape)
         print(f"{name}\t{shape}")
     return 0
 

@@ -87,9 +87,7 @@ def model_selector(g: Grammar, model: GuiderModel):
     entries: when an ask that misses could take them past it, both tables
     are cleared and refill as asks come. At d_h 256 a state takes about
     1.25 KB and an answer at most about 1 KB (tracemalloc), so full tables
-    take at most about 20.5 MB. One pass over perfbench's pools (seed 3) fills
-    3,458 entries on fallback-long and 3,127 on beam-short, where the
-    answers serve 28% and 65% of the asks. A span's token ids are checked
+    take at most about 20.5 MB. A span's token ids are checked
     before the lookup, so a bad id raises GuiderError as on a miss, and a
     nonterminal foreign to g never hits and raises GrammarError. A kept
     answer, like a recomputed state, has the bits the same call computes

@@ -25,7 +25,6 @@ __all__ = [
     "GuiderError",
     "TrainingDiverged",
     "init_model",
-    "gru_cell",
     "encode",
     "predict_rule_distribution",
     "loss_and_gradients",
@@ -37,8 +36,8 @@ __all__ = [
 
 _MAGIC = b"NGSI1"
 
-# Axes of every tensor: V and R come from the grammar, d_emb and d_h from
-# the model itself.
+# Axes of every tensor in the model file: V and R come from the grammar,
+# d_emb and d_h from the model itself.
 _SHAPES = {
     "embedding": ("V", "d_emb"),
     "W_z": ("d_emb", "d_h"),
@@ -54,6 +53,34 @@ _SHAPES = {
     "b_out": ("R",),
 }
 
+# The encoder's parameter blocks, each the file's gate tensors side by
+# side in this column order: one matmul per block, the two a step makes
+# on its state (U_zr, U_h) and one for its input (W).
+_BLOCKS = {
+    "W": ("W_z", "W_r", "W_h"),
+    "U_zr": ("U_z", "U_r"),
+    "U_h": ("U_h",),
+    "b": ("b_z", "b_r", "b_h"),
+}
+
+
+def _params_from_file(tensors: dict) -> dict:
+    """The model's parameters from file tensors: each block a new
+    contiguous array of its gates; the other tensors as they are."""
+    params = dict(tensors)
+    for block, gates in _BLOCKS.items():
+        params[block] = np.concatenate([params.pop(gate) for gate in gates], axis=-1)
+    return params
+
+
+def _file_tensors(params: dict) -> dict:
+    """The file's tensors by name, each gate a view of its block, so a
+    write to one reaches the model."""
+    tensors = dict(params)
+    for block, gates in _BLOCKS.items():
+        tensors.update(zip(gates, np.split(tensors.pop(block), len(gates), axis=-1)))
+    return tensors
+
 
 class GuiderError(Exception):
     pass
@@ -67,33 +94,17 @@ class TrainingDiverged(GuiderError):
 
 @dataclass
 class GuiderModel:
-    """The guider's tensors by name (the names save_model writes), plus the
-    encoder's packed gate layout.
-
-    On construction the nine gate tensors are packed into four contiguous
-    blocks: W [d_emb, 3*d_h] and b [3*d_h] with columns (z | r | h), and
-    the recurrent weights as U_zr [d_h, 2*d_h] (columns z | r) and U_h
-    [d_h, d_h], the two products a step makes. The model keeps its own copy
-    of the params dict whose gate entries are views of those blocks
-    (params["U_h"] is the U_h block itself). Update them in place
-    (p -= ..., p[...] = ...), as adam_step does: the encoder reads the
-    blocks, so a gate entry rebound to a new array would no longer reach it.
-    """
+    """The guider's parameters: embedding [V, d_emb]; the GRU's gates
+    packed as in _BLOCKS, W [d_emb, 3*d_h] and b [3*d_h] with columns
+    (z | r | h), U_zr [d_h, 2*d_h] with columns (z | r) and U_h [d_h, d_h];
+    and the output layer W_out [d_h, R], b_out [R]. The model file stores
+    the gates as separate tensors."""
 
     params: dict
     d_emb: int
     d_h: int
     vocab_fingerprint: int
     rule_fingerprint: int
-    W: np.ndarray = field(init=False, repr=False, compare=False)
-    U_zr: np.ndarray = field(init=False, repr=False, compare=False)
-    U_h: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.params = dict(self.params)
-        self.W, self.U_zr, self.U_h, self.b = _pack(self.params)
-        self.params.update(_gate_views(self.W, self.U_zr, self.U_h, self.b))
 
     def check_grammar(self, g: Grammar) -> None:
         if (
@@ -118,15 +129,15 @@ def init_model(
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d_h)
     dims = {"V": len(g.vocabulary), "R": len(g.rules), "d_emb": d_emb, "d_h": d_h}
-    params = {}
+    tensors = {}
     for name, axes in _SHAPES.items():
         shape = tuple(dims[a] for a in axes)
         if name.startswith("b_"):
-            params[name] = np.zeros(shape, dtype=dtype)
+            tensors[name] = np.zeros(shape, dtype=dtype)
         else:
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return GuiderModel(
-        params, d_emb, d_h, g.vocab_fingerprint(), g.rule_fingerprint()
+        _params_from_file(tensors), d_emb, d_h, g.vocab_fingerprint(), g.rule_fingerprint()
     )
 
 
@@ -138,48 +149,16 @@ def _sigmoid_inplace(x):
     return np.divide(1.0, x, out=x)
 
 
-def _pack(params: dict):
-    """(W, U_zr, U_h, b): new contiguous blocks of the gate tensors, side by
-    side in the order of the gates named."""
-    return tuple(
-        np.concatenate([params[f"{kind}_{gate}"] for gate in gates], axis=-1)
-        for kind, gates in (("W", "zrh"), ("U", "zr"), ("U", "h"), ("b", "zrh"))
-    )
-
-
-def _gate_views(W, U_zr, U_h, b):
-    """The gate entries, by their params names, as views of the blocks."""
-    d = U_h.shape[-1]
-    views = {"U_z": U_zr[:, :d], "U_r": U_zr[:, d:], "U_h": U_h}
-    for k, gate in enumerate("zrh"):
-        cols = slice(k * d, (k + 1) * d)
-        views[f"W_{gate}"] = W[:, cols]
-        views[f"b_{gate}"] = b[cols]
-    return views
-
-
-def gru_cell(params: dict, x, h):
-    """One update: z gates the candidate, (1-z) carries the old state.
-
-    z = sig(W_z x + U_z h + b_z); r = sig(W_r x + U_r h + b_r);
-    cand = tanh(W_h x + U_h (r*h) + b_h); out = (1-z)*h + z*cand.
-    Works on single vectors or batches (leading axis).
-    """
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
-        raise GuiderError("non-finite input to recurrent cell")
-    W, U_zr, U_h, b = _pack(params)
-    return _gru_step(U_zr, U_h, b, x @ W, h)[0]
-
-
 def _gru_step(U_zr, U_h, b, xw, h):
-    """The cell's equations on the packed layout, without input checks.
+    """One GRU update: z gates the candidate, (1-z) carries the old state.
 
-    xw is the input's product x @ W with all three gates, columns
-    (z | r | h); z and r share one matmul with U_zr, the candidate makes
-    one with U_h. The sums are associated as (x @ W_g + h @ U_g) + b_g,
-    the order of one matmul per gate, so the packed layout changes no bit
-    of the result. Returns (new state, z, r, cand), the gate values being
-    what backprop needs.
+    xw is the input's product x @ W, columns (z | r | h). With d = d_h:
+    (z | r) = sig(xw[:2d] + h @ U_zr + b[:2d]);
+    cand = tanh(xw[2d:] + (r*h) @ U_h + b[2d:]); new = (1-z)*h + z*cand.
+    Each gate's sum is associated as (x @ W_g + h @ U_g) + b_g, the order
+    of one matmul per gate, so the packed layout changes no bit of the
+    result. Works on single vectors or batches (leading axis). Returns
+    (new state, z, r, cand), the gate values being what backprop needs.
     """
     d = h.shape[-1]
     zr = h @ U_zr
@@ -213,7 +192,8 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
     the operations encode runs. The token ids must be checked by the
     caller (see _masked_logits).
     """
-    emb = m.params["embedding"]
+    p = m.params
+    emb, W, U_zr, U_h, b = p["embedding"], p["W"], p["U_zr"], p["U_h"], p["b"]
     if any(len(s) == 0 for s in seqs):
         raise GuiderError("empty token sequence")
     lengths = np.array([len(s) for s in seqs])
@@ -222,13 +202,13 @@ def _forward(m: GuiderModel, seqs, want_cache: bool):
     B, T = len(seqs), int(lengths[order[0]])
     # active[t] = number of sequences longer than t, the rows of step t
     active = B - np.cumsum(np.bincount(lengths, minlength=T + 1))[:T]
-    final = np.empty((B, m.U_h.shape[0]), dtype=emb.dtype)
+    final = np.empty((B, m.d_h), dtype=emb.dtype)
     h = np.zeros_like(final)
     steps = []
     for t, n in enumerate(active.tolist()):
         ids = [s[t] for s in ordered[:n]]
         h_prev = h[:n]
-        h, z, r, cand = _gru_step(m.U_zr, m.U_h, m.b, emb[ids] @ m.W, h_prev)
+        h, z, r, cand = _gru_step(U_zr, U_h, b, emb[ids] @ W, h_prev)
         # sequences of length t + 1 end here: rows [active[t + 1], n)
         done = int(active[t + 1]) if t + 1 < T else 0
         final[order[done:n]] = h[done:n]
@@ -246,11 +226,13 @@ def _backward_encoder(m: GuiderModel, cache, dh):
     Each step writes the pre-activation gradients of its rows into one
     block of D [sum of lengths, 3*d_h], columns (z | r | h) as in W and
     b; the weight, bias and embedding gradients are then one product each
-    over all steps. The gate entries of the returned dict are views of the
-    gradient blocks, named and laid out as in GuiderModel.params.
+    over all steps. The returned gradients are named and laid out as
+    GuiderModel.params.
     """
+    p = m.params
+    emb, W, U_zr, U_h = p["embedding"], p["W"], p["U_zr"], p["U_h"]
     order, active, steps = cache
-    d = m.U_h.shape[0]
+    d = m.d_h
     offsets = np.concatenate(([0], np.cumsum(active))).tolist()
     D = np.empty((offsets[-1], 3 * d), dtype=dh.dtype)
     # gradient at the state each row holds after the step in progress; a
@@ -266,22 +248,27 @@ def _backward_encoder(m: GuiderModel, cache, dh):
         np.multiply(dnew * z, 1.0 - cand * cand, out=dcand_pre)
         # (U @ x.T).T has the bits of x @ U.T and takes OpenBLAS's faster
         # path for the few rows of a step
-        drh = (m.U_h @ dcand_pre.T).T
+        drh = (U_h @ dcand_pre.T).T
         np.multiply(dnew * (cand - h_prev) * z, 1.0 - z, out=dz_pre)
         np.multiply(drh * h_prev * r, 1.0 - r, out=dr_pre)
         dh_prev = dnew * (1.0 - z)
         dh_prev += drh * r
-        dh_prev += (m.U_zr @ pre[:, : 2 * d].T).T
+        dh_prev += (U_zr @ pre[:, : 2 * d].T).T
         grad[: hi - lo] = dh_prev
 
     ids = [tid for step in steps for tid in step[0]]
-    X = m.params["embedding"][ids]
+    X = emb[ids]
     H = np.concatenate([h_prev for _, h_prev, _, _, _ in steps])
     RH = np.concatenate([r * h_prev for _, h_prev, _, r, _ in steps])
-    d_emb = np.zeros_like(m.params["embedding"])
-    np.add.at(d_emb, ids, D @ m.W.T)
-    dU_zr, dU_h = H.T @ D[:, : 2 * d], RH.T @ D[:, 2 * d :]
-    return {"embedding": d_emb, **_gate_views(X.T @ D, dU_zr, dU_h, D.sum(axis=0))}
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, ids, D @ W.T)
+    return {
+        "embedding": d_emb,
+        "W": X.T @ D,
+        "U_zr": H.T @ D[:, : 2 * d],
+        "U_h": RH.T @ D[:, 2 * d :],
+        "b": D.sum(axis=0),
+    }
 
 
 def _unknown_token(tok, pos) -> GuiderError:
@@ -317,19 +304,21 @@ def encode(g: Grammar, tokens, m: GuiderModel, states: dict = None) -> np.ndarra
     states = {} if states is None else states
     proj = states.setdefault("proj", {})
     kept = states.setdefault("prefixes", {})
+    p = m.params
+    emb, W, U_zr, U_h, b = p["embedding"], p["W"], p["U_zr"], p["U_h"], p["b"]
 
     def step(h, tid):
         xw = proj.get(tid)
         if xw is None:
-            xw = proj[tid] = m.params["embedding"][tid] @ m.W
-        return _gru_step(m.U_zr, m.U_h, m.b, xw, h)[0]
+            xw = proj[tid] = emb[tid] @ W
+        return _gru_step(U_zr, U_h, b, xw, h)[0]
 
     # the longest kept prefix, then the kept ones past it
     n = depth = min(len(tokens), KEPT_TOKENS)
     while depth and (h := kept.get(tokens[:depth])) is None:
         depth -= 1
     if not depth:
-        h = np.zeros(m.U_h.shape[0], dtype=m.params["embedding"].dtype)
+        h = np.zeros(m.d_h, dtype=emb.dtype)
     for i in range(depth, n):
         h = kept[tokens[: i + 1]] = step(h, tokens[i])
     if len(tokens) > n:
@@ -559,13 +548,19 @@ def write_training_log(log, path) -> None:
 
 
 def save_model(m: GuiderModel, path) -> None:
-    """Binary layout: magic, rule/vocab fingerprints, then one record per
-    tensor (name, rank, dims, float32 little-endian data), name-sorted."""
+    """Write m with its gates as separate tensors (_file_tensors)."""
+    _write_model(path, m, _file_tensors(m.params))
+
+
+def _write_model(path, m: GuiderModel, tensors: dict) -> None:
+    """Binary layout: magic, m's rule/vocab fingerprints, then one record
+    per tensor (name, rank, dims, float32 little-endian data),
+    name-sorted."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQ", m.rule_fingerprint, m.vocab_fingerprint))
-        for name in sorted(m.params):
-            arr = np.ascontiguousarray(m.params[name], dtype="<f4")
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
             nb = name.encode()
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
@@ -574,21 +569,21 @@ def save_model(m: GuiderModel, path) -> None:
             fh.write(arr.tobytes())
 
 
-def _check_shapes(params: dict, V: int, R: int) -> None:
-    """Raise GuiderError naming the first tensor whose shape does not match
-    _SHAPES, with d_emb and d_h read off embedding and U_z."""
-    emb, u_z = params["embedding"], params["U_z"]
+def _check_shapes(tensors: dict, V: int, R: int) -> None:
+    """Raise GuiderError naming the first file tensor whose shape does not
+    match _SHAPES, with d_emb and d_h read off embedding and U_h."""
+    emb, u_h = tensors["embedding"], tensors["U_h"]
     dims = {
         "V": V,
         "R": R,
         "d_emb": emb.shape[1] if emb.ndim == 2 else None,
-        "d_h": u_z.shape[0] if u_z.ndim == 2 else None,
+        "d_h": u_h.shape[0] if u_h.ndim == 2 else None,
     }
     for name, axes in _SHAPES.items():
         want = tuple(dims[a] for a in axes)
-        if params[name].shape != want:
+        if tensors[name].shape != want:
             raise GuiderError(
-                f"tensor {name} has shape {params[name].shape}, expected "
+                f"tensor {name} has shape {tensors[name].shape}, expected "
                 f"[{', '.join(axes)}] = {want}"
             )
 
@@ -598,7 +593,7 @@ def load_model(path, g: Grammar) -> GuiderModel:
     read asks for more bytes than the file has left, and every tensor must
     be named in _SHAPES, appear once, and have rank at most 2, finite
     values and its _SHAPES shape."""
-    params = {}
+    tensors = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -626,20 +621,21 @@ def load_model(path, g: Grammar) -> GuiderModel:
             data = take(4 * math.prod(dims), f"tensor {name}")
             if name not in _SHAPES:
                 raise GuiderError(f"unknown tensor {name!r}")
-            if name in params:
+            if name in tensors:
                 raise GuiderError(f"duplicate tensor {name}")
-            params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
-            if not np.isfinite(params[name]).all():
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(tensors[name]).all():
                 raise GuiderError(f"tensor {name} has non-finite values")
 
-    missing = set(_SHAPES) - set(params)
+    missing = set(_SHAPES) - set(tensors)
     if missing:
         raise GuiderError(f"model file missing tensors: {sorted(missing)}")
-    _check_shapes(params, V=len(g.vocabulary), R=len(g.rules))
+    _check_shapes(tensors, V=len(g.vocabulary), R=len(g.rules))
+    params = _params_from_file(tensors)
     return GuiderModel(
         params,
         d_emb=params["embedding"].shape[1],
-        d_h=params["U_z"].shape[0],
+        d_h=params["U_h"].shape[0],
         vocab_fingerprint=vocab_fp,
         rule_fingerprint=rule_fp,
     )

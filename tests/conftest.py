@@ -1,16 +1,18 @@
 import ctypes
+import dataclasses
 import os
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ngparse
+from ngparse import guider
 from ngparse.grammar import Nonterminal, build_grammar
-from ngparse.guider import TrainConfig, init_model, save_model, train
+from ngparse.guider import TrainConfig, init_model, loss_and_gradients, save_model, train
 from ngparse.sampler import curriculum_schedule
 
 # The benchmark's trained model, read but never written by the tests.
@@ -18,10 +20,9 @@ FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "mo
 
 
 @lru_cache(maxsize=None)
-def openblas_corename():
-    """The name of the CPU kernel numpy's bundled OpenBLAS runs ("SkylakeX",
-    "Haswell", ...), which OPENBLAS_CORETYPE overrides; None when numpy
-    bundles no OpenBLAS that reports one (a system BLAS, say)."""
+def _openblas(what, restype, *argtypes):
+    """The function openblas_<what> of numpy's bundled OpenBLAS, or None
+    when numpy bundles no OpenBLAS that has it (a system BLAS, say)."""
     numpy_dir = Path(np.__file__).resolve().parent
     # Linux wheels put their libraries beside numpy, macOS wheels inside it
     libs = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"),
@@ -29,13 +30,74 @@ def openblas_corename():
     for path in sorted(libs):
         lib = ctypes.CDLL(str(path))
         # numpy 2 bundles scipy-openblas, numpy 1.22-1.26 a 64-bit-int build
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                     "openblas_get_corename"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                return get().decode()
+        for name in (f"scipy_openblas_{what}64_", f"openblas_{what}64_", f"openblas_{what}"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                return fn
     return None
+
+
+def _openblas_string(what):
+    get = _openblas(f"get_{what}", ctypes.c_char_p)
+    return None if get is None else get().decode()
+
+
+def openblas_corename():
+    """The name of the CPU kernel numpy's bundled OpenBLAS runs ("SkylakeX",
+    "Haswell", ...), which OPENBLAS_CORETYPE overrides; None when numpy
+    bundles no OpenBLAS that reports one."""
+    return _openblas_string("corename")
+
+
+def blas_build():
+    """numpy's version and its OpenBLAS's build string, for the failure
+    message of a digest that depends on them."""
+    return f"numpy {np.__version__}, {_openblas_string('config') or 'no bundled OpenBLAS'}"
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, so that
+    its float32 products round the same on any number of cores: on the
+    Haswell kernel, the acceptance suite's full training run writes other
+    bytes with two threads than with one. Without such an OpenBLAS, the
+    block runs as it is."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    put = _openblas("set_num_threads", None, ctypes.c_int)
+    if get is None or put is None:
+        yield
+        return
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def model_digest_mismatch(pinned, kernel, digest):
+    """Why digest is not the one pinned for the OpenBLAS kernel in pinned
+    ({kernel: digest}), or None when it is. Where the kernel cannot be read
+    (None), any pinned digest passes."""
+    if kernel is None:
+        if digest in pinned.values():
+            return None
+        return f"OpenBLAS kernel unknown; model digest {digest} is none of the pinned ones"
+    if kernel not in pinned:
+        return f"no model digest pinned for OpenBLAS kernel {kernel}; it reads {digest}"
+    if digest != pinned[kernel]:
+        return f"OpenBLAS kernel {kernel}: model digest {digest}, pinned {pinned[kernel]}"
+    return None
+
+
+def fd_loss(g, m, pairs, name, idx, delta):
+    """Loss with parameter name moved by delta at idx, computed in float64
+    so that the finite-difference oracle stays accurate for float32 models
+    too."""
+    params = {k: v.astype(np.float64) for k, v in m.params.items()}
+    params[name][idx] += delta
+    return loss_and_gradients(g, pairs, dataclasses.replace(m, params=params))[0]
 
 
 def cli_env():
@@ -54,17 +116,9 @@ def cli_env():
 
 
 def save_with_tensors(path, m, **tensors):
-    """Write m's model file with the given tensors replaced. Goes through a
-    stand-in object, because a GuiderModel cannot hold a mis-shaped gate
-    tensor."""
-    save_model(
-        SimpleNamespace(
-            params=dict(m.params, **tensors),
-            rule_fingerprint=m.rule_fingerprint,
-            vocab_fingerprint=m.vocab_fingerprint,
-        ),
-        path,
-    )
+    """Write m's model file with the given file tensors replaced, which may
+    be mis-shaped."""
+    guider._write_model(path, m, {**guider._file_tensors(m.params), **tensors})
 
 
 def enumerated_trees(g, max_depth, max_length):

@@ -1,12 +1,13 @@
 """End-to-end acceptance suite.
 
-Each test covers one acceptance criterion and prints a single
+Each test_criterion_N covers one acceptance criterion and prints a single
 "[criterion N] PASS/FAIL" line (visible with pytest -s, or in captured
 output otherwise). The trained model and the evaluation grid are shared
 module-scoped fixtures because they dominate the runtime.
 """
 
 import csv
+import hashlib
 import statistics
 import subprocess
 import sys
@@ -15,15 +16,22 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import (
+    blas_build,
+    cli_env,
+    fd_loss,
+    model_digest_mismatch,
+    one_blas_thread,
+    openblas_corename,
+)
 from ngparse.engine import InferConfig, infer, model_selector, oracle_selector
 from ngparse.guider import (
-    GuiderModel,
     TrainConfig,
     _step_accuracy,
     init_model,
     loss_and_gradients,
     predict_rule_distribution,
+    save_model,
     train,
 )
 from ngparse.parser import reference_parse
@@ -71,7 +79,8 @@ def full_model(g):
         seed=0,
     )
     t0 = time.perf_counter()
-    model, log = train(g, schedule, cfg)
+    with one_blas_thread():
+        model, log = train(g, schedule, cfg)
     return model, log, time.perf_counter() - t0
 
 
@@ -134,21 +143,6 @@ def test_criterion_2_round_trip(g, big_corpus):
 # 3. Gradient check
 
 
-def _fd_loss(g, m, batch, name, idx, delta):
-    """Perturbed loss in float64; a high-precision oracle for the
-    float32 analytic gradients."""
-    params = {k: v.astype(np.float64) for k, v in m.params.items()}
-    params[name][idx] += delta
-    m64 = GuiderModel(
-        params=params,
-        d_emb=m.d_emb,
-        d_h=m.d_h,
-        vocab_fingerprint=m.vocab_fingerprint,
-        rule_fingerprint=m.rule_fingerprint,
-    )
-    return loss_and_gradients(g, batch, m64)[0]
-
-
 def test_criterion_3_gradient_check(g):
     pool_corpus = sample_corpus(g, SampleBucket(4, 12, 1, 9, seed=17), 40)
     pool = [p for _, t in pool_corpus for p in extract_training_pairs(g, t)]
@@ -163,14 +157,33 @@ def test_criterion_3_gradient_check(g):
             name = names[int(rng.integers(0, len(names)))]
             p = m.params[name]
             idx = tuple(int(rng.integers(0, s)) for s in p.shape)
-            lp = _fd_loss(g, m, batch, name, idx, eps)
-            lm = _fd_loss(g, m, batch, name, idx, -eps)
+            lp = fd_loss(g, m, batch, name, idx, eps)
+            lm = fd_loss(g, m, batch, name, idx, -eps)
             fd = (lp - lm) / (2 * eps)
             ana = grads[name][idx]
             worst = max(worst, abs(ana - fd) / max(abs(ana), abs(fd), 1e-3))
     _report(
         3, worst < 1e-3, f"max relative error {worst:.2e} over {models} tiny models"
     )
+
+
+# sha256 of save_model(full_model), one per OpenBLAS kernel, each
+# measured under OPENBLAS_CORETYPE with one BLAS thread, the one
+# full_model trains on: the kernel rounds the float32 training products
+# its own way (see test_training_output_is_pinned).
+PINNED_FULL_MODEL_SHA256 = {
+    "SkylakeX": "9d9f89ea409ac08d97b587377dffd5355b896dcaa1d82f2e4b67d471b01eac95",
+    "Haswell": "91d5de45e7c40dff2e8ad37ff639dbd3b6057df5c5ed1ce78c2cd650e4022b09",
+    "Sandybridge": "8659f25ea6c8cde1058d595f93478abad038f953d74a0801e4882ddd717f7980",
+}
+
+
+def test_full_model_bytes_are_pinned(full_model, tmp_path):
+    model, _, _ = full_model
+    save_model(model, tmp_path / "m.bin")
+    digest = hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest()
+    mismatch = model_digest_mismatch(PINNED_FULL_MODEL_SHA256, openblas_corename(), digest)
+    assert mismatch is None, f"{mismatch} ({blas_build()})"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_MODEL, openblas_corename, save_with_tensors
+from conftest import (
+    FIXTURE_MODEL,
+    blas_build,
+    fd_loss,
+    model_digest_mismatch,
+    openblas_corename,
+    save_with_tensors,
+)
 from ngparse import guider
 from ngparse.engine import model_selector
 from ngparse.grammar import Nonterminal
@@ -15,10 +22,12 @@ from ngparse.guider import (
     GuiderError,
     GuiderModel,
     TrainConfig,
+    _file_tensors,
     _forward,
+    _gru_step,
+    _params_from_file,
     adam_step,
     encode,
-    gru_cell,
     init_model,
     load_model,
     loss_and_gradients,
@@ -34,6 +43,11 @@ def _zero_params(m):
     return {k: np.zeros_like(v) for k, v in m.params.items()}
 
 
+def _cell(params, x, h):
+    """One GRU update of state h on input x, with the blocks of params."""
+    return _gru_step(params["U_zr"], params["U_h"], params["b"], x @ params["W"], h)[0]
+
+
 # ---------------------------------------------------------------------------
 # recurrent cell
 
@@ -41,13 +55,13 @@ def _zero_params(m):
 def test_cell_zero_weights_halves_state(g, tiny_model):
     params = _zero_params(tiny_model)
     h = np.random.default_rng(0).normal(size=16)
-    out = gru_cell(params, np.zeros(8), h)
+    out = _cell(params, np.zeros(8), h)
     assert np.allclose(out, 0.5 * h)
 
 
 def test_cell_zero_state_zero_weights(g, tiny_model):
     params = _zero_params(tiny_model)
-    assert np.allclose(gru_cell(params, np.zeros(8), np.zeros(16)), 0.0)
+    assert np.allclose(_cell(params, np.zeros(8), np.zeros(16)), 0.0)
 
 
 def test_cell_matches_scalar_oracle():
@@ -81,12 +95,7 @@ def test_cell_matches_scalar_oracle():
             + p["b_h"][i]
         )
         expect.append((1 - z) * h[i] + z * cand)
-    assert np.allclose(gru_cell(p, x, h), expect)
-
-
-def test_cell_rejects_nonfinite(tiny_model):
-    with pytest.raises(GuiderError):
-        gru_cell(tiny_model.params, np.array([np.nan] * 8), np.zeros(16))
+    assert np.allclose(_cell(_params_from_file(p), x, h), expect)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +178,7 @@ def test_encode_matches_per_gate_reference_at_full_size(g):
     # The cell equations with one matmul per named gate tensor, at the
     # default size; the scalar oracle above only covers d = 2.
     m = init_model(g, d_emb=64, d_h=256, seed=8)
-    p = m.params
+    p = _file_tensors(m.params)
     rng = np.random.default_rng(8)
     for name in ("b_z", "b_r", "b_h"):
         p[name][...] = rng.uniform(-0.5, 0.5, size=256)
@@ -195,14 +204,13 @@ def _rebuilt(m):
     )
 
 
-def test_in_place_updates_reach_the_packed_gates(g):
+def test_in_place_updates_reach_the_encoder(g):
     m = init_model(g, d_emb=8, d_h=16, seed=6)
     toks = g.encode("v0 = 1 + 2 ;")
     # a selector made and asked before the changes keeps its own tables;
     # a bare encode must still see every change
     model_selector(g, m)(toks, g.start, {})
-    m.params["U_r"][...] = 0.0
-    assert not m.U_zr[:, 16:32].any()
+    _file_tensors(m.params)["U_r"][...] = 0.0
     assert np.array_equal(encode(g, toks, m), encode(g, toks, _rebuilt(m)))
 
     before = encode(g, toks, m)
@@ -290,22 +298,6 @@ def test_loss_rejects_token_ids_outside_the_vocabulary(g, tiny_model, bad):
         loss_and_gradients(g, pairs, tiny_model)
 
 
-def _fd_loss(g, m, pairs, name, idx, delta):
-    """Loss at a perturbed coordinate, computed in float64 so that the
-    finite-difference oracle stays accurate for float32 models too."""
-    params = {k: v.astype(np.float64) for k, v in m.params.items()}
-    params[name][idx] += delta
-    m64 = GuiderModel(
-        params=params,
-        d_emb=m.d_emb,
-        d_h=m.d_h,
-        vocab_fingerprint=m.vocab_fingerprint,
-        rule_fingerprint=m.rule_fingerprint,
-    )
-    loss, _ = loss_and_gradients(g, pairs, m64)
-    return loss
-
-
 def _finite_diff_check(g, seed, dtype, eps, n_coords=40):
     m = init_model(g, d_emb=4, d_h=4, seed=seed, dtype=dtype)
     pairs = _some_pairs(g, n=3, seed=seed)
@@ -317,8 +309,8 @@ def _finite_diff_check(g, seed, dtype, eps, n_coords=40):
         name = names[int(rng.integers(0, len(names)))]
         p = m.params[name]
         idx = tuple(int(rng.integers(0, s)) for s in p.shape)
-        lp = _fd_loss(g, m, pairs, name, idx, eps)
-        lm = _fd_loss(g, m, pairs, name, idx, -eps)
+        lp = fd_loss(g, m, pairs, name, idx, eps)
+        lm = fd_loss(g, m, pairs, name, idx, -eps)
         fd = (lp - lm) / (2 * eps)
         ana = grads[name][idx]
         rel = abs(ana - fd) / max(abs(ana), abs(fd), 1e-3)
@@ -342,8 +334,9 @@ def _mixed_length_batch(g, per_length=2, seed=21):
 def _reference_gradients(g, m, batch):
     """Float64 gradients of the mean masked cross-entropy, one example at a
     time: the cell equations with one matrix per named gate, unrolled and
-    backpropagated step by step, with no batching or padding."""
-    p = {k: v.astype(np.float64) for k, v in m.params.items()}
+    backpropagated step by step, with no batching or padding. Returns the
+    gradients of the file tensors."""
+    p = {k: v.astype(np.float64) for k, v in _file_tensors(m.params).items()}
     grads = {k: np.zeros_like(v) for k, v in p.items()}
 
     def sig(v):
@@ -391,11 +384,12 @@ def test_mixed_length_gradients_match_per_example_reference(g, d_emb, d_h):
     m = init_model(g, d_emb=d_emb, d_h=d_h, seed=11)
     rng = np.random.default_rng(11)
     for name in ("b_z", "b_r", "b_h"):
-        m.params[name][...] = rng.uniform(-0.5, 0.5, size=d_h)
+        _file_tensors(m.params)[name][...] = rng.uniform(-0.5, 0.5, size=d_h)
     batch = _mixed_length_batch(g)
     _, grads = loss_and_gradients(g, batch, m)
     assert set(grads) == set(m.params)
-    assert _worst_relative(grads, _reference_gradients(g, m, batch)) <= 1e-5
+    ref = _reference_gradients(g, m, batch)
+    assert _worst_relative(_file_tensors(grads), ref) <= 1e-5
 
 
 def test_permuting_a_batch_permutes_rows_and_keeps_gradients(g):
@@ -648,39 +642,26 @@ def test_training_output_is_pinned(g, tmp_path):
         for name, file in (("model", "m.bin"), ("log", "log.csv"))
     }
     kernel = openblas_corename()
-    assert digests["log"] == PINNED_TRAINING_SHA256["log"], f"OpenBLAS kernel {kernel}"
-    mismatch = _model_digest_mismatch(kernel, digests["model"])
-    assert mismatch is None, mismatch
-
-
-def _model_digest_mismatch(kernel, digest):
-    """Why digest is not the model digest pinned for the OpenBLAS kernel, or
-    None when it is. Where the kernel cannot be read (None), any pinned
-    digest passes."""
-    pinned = PINNED_TRAINING_SHA256["model"]
-    if kernel is None:
-        if digest in pinned.values():
-            return None
-        return f"OpenBLAS kernel unknown; model digest {digest} is none of the pinned ones"
-    if kernel not in pinned:
-        return f"no model digest pinned for OpenBLAS kernel {kernel}; it reads {digest}"
-    if digest != pinned[kernel]:
-        return f"OpenBLAS kernel {kernel}: model digest {digest}, pinned {pinned[kernel]}"
-    return None
+    assert digests["log"] == PINNED_TRAINING_SHA256["log"], (
+        f"OpenBLAS kernel {kernel} ({blas_build()})"
+    )
+    mismatch = model_digest_mismatch(PINNED_TRAINING_SHA256["model"], kernel, digests["model"])
+    assert mismatch is None, f"{mismatch} ({blas_build()})"
 
 
 def test_model_digest_is_checked_per_kernel_or_against_all_when_unknown():
     pinned = PINNED_TRAINING_SHA256["model"]
     other = "0" * 64
     for kernel, digest in pinned.items():
-        assert _model_digest_mismatch(kernel, digest) is None
-        assert _model_digest_mismatch(None, digest) is None
-        assert kernel in _model_digest_mismatch(kernel, other)
-    assert "unknown" in _model_digest_mismatch(None, other)
-    assert "Nehalem" in _model_digest_mismatch("Nehalem", pinned["SkylakeX"])
-    assert _model_digest_mismatch("Haswell", pinned["SkylakeX"]) is not None
+        assert model_digest_mismatch(pinned, kernel, digest) is None
+        assert model_digest_mismatch(pinned, None, digest) is None
+        assert kernel in model_digest_mismatch(pinned, kernel, other)
+    assert "unknown" in model_digest_mismatch(pinned, None, other)
+    assert "Nehalem" in model_digest_mismatch(pinned, "Nehalem", pinned["SkylakeX"])
+    assert model_digest_mismatch(pinned, "Haswell", pinned["SkylakeX"]) is not None
     kernel = openblas_corename()
     assert kernel is None or isinstance(kernel, str) and kernel
+    assert blas_build().startswith(f"numpy {np.__version__}, ")
 
 
 # ---------------------------------------------------------------------------
