@@ -284,7 +284,11 @@ class Grammar:
         """Rule id -> (FIRST, LAST): the token ids a string the rule derives
         can start and end with. One fixpoint over the rules, built on first
         use. Every rhs symbol derives a nonempty string, so a rule's FIRST
-        (LAST) is that of its first (last) rhs symbol alone."""
+        (LAST) is that of its first (last) rhs symbol alone; a rule with an
+        empty rhs raises GrammarError."""
+        for r in self.rules:
+            if not r.rhs:
+                raise GrammarError(f"rule {r.name}: empty rhs, so no FIRST or LAST token")
         first = {nt.id: set() for nt in self.nonterminals}
         last = {nt.id: set() for nt in self.nonterminals}
 

@@ -335,16 +335,18 @@ def predict_rule_distribution(
     g: Grammar, tokens, nt: Nonterminal, m: GuiderModel, states: dict = None
 ):
     """Probability vector over all rule ids; inapplicable rules get
-    exactly 0, applicable ones a softmax of their logits. states is
-    passed on to encode."""
+    exactly 0, applicable ones a softmax of their logits, so a
+    nonterminal without rules gets all zeros. states is passed on to
+    encode."""
     applicable = [r.id for r in g.rules_for(nt)]
     h = encode(g, tokens, m, states=states)
-    logits = h @ m.params["W_out"] + m.params["b_out"]
-    sub = logits[applicable].astype(np.float64)
-    sub -= sub.max()
-    e = np.exp(sub)
     probs = np.zeros(len(g.rules), dtype=np.float64)
-    probs[applicable] = e / e.sum()
+    if applicable:
+        logits = h @ m.params["W_out"] + m.params["b_out"]
+        sub = logits[applicable].astype(np.float64)
+        sub -= sub.max()
+        e = np.exp(sub)
+        probs[applicable] = e / e.sum()
     return probs
 
 

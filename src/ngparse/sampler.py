@@ -251,44 +251,29 @@ def _table(g: Grammar, max_depth: int, max_length: int) -> _CountTable:
 _MAX_BLOCK = 4096  # words per block: bounds the memory a block takes
 
 
-class _Words:
-    """32-bit words of a Generator's stream, drawn in blocks; stream is
-    an iterator over them (a generator, so each word costs no Python
-    call).
+def _words(rng: np.random.Generator):
+    """32-bit words of rng's stream, drawn in blocks of 64 doubling up to
+    _MAX_BLOCK; a generator, so each word costs no Python call.
 
-    A block of k words is the same stream as k one-word draws. close()
-    leaves the generator where one-word draws would have: it restores the
-    state saved at the start and draws again exactly the words served.
+    A block of k words is the same stream as k one-word draws. Closing
+    the generator leaves rng where one-word draws would have: its finally
+    restores the state saved at the first draw and draws again exactly the
+    words served. A generator never started closes without touching rng.
     """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.state = rng.bit_generator.state
-        self.drawn = 0  # words of the blocks drawn so far
-        self.block = iter(())  # the last block's words not yet served
-        self.stream = self._serve()
-
-    def _serve(self):
-        k = 64
+    state = rng.bit_generator.state
+    drawn, block, k = 0, iter(()), 64
+    try:
         while True:
-            self.block = iter(self._draw(k).tolist())
-            self.drawn += k
-            yield from self.block
+            block = iter(rng.integers(0, 1 << 32, size=k, dtype=np.uint64).tolist())
+            drawn += k
+            yield from block
             k = min(2 * k, _MAX_BLOCK)
-
-    def _draw(self, k: int) -> np.ndarray:
-        return self.rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
-
-    def served(self) -> int:
-        return self.drawn - length_hint(self.block)
-
-    def close(self) -> None:
-        left = self.served()
-        self.stream = None  # the generator refers back to self
-        self.rng.bit_generator.state = self.state
+    finally:
+        left = drawn - length_hint(block)
+        rng.bit_generator.state = state
         while left:
             k = min(left, _MAX_BLOCK)
-            self._draw(k)
+            rng.integers(0, 1 << 32, size=k, dtype=np.uint64)
             left -= k
 
 
@@ -328,22 +313,21 @@ def _sample(tab: _CountTable, words, nt_id: int, d: int, l: int, exact: bool, ou
     to the trees it leaves; then the children follow the plan, in rhs
     order with the rule's terminals between them. A rule without
     nonterminals gives the grammar's shared leaf."""
-    stream = words.stream
-    r = tab.rules_by_lhs[nt_id][_weighted_pick(stream, tab.rule_pick(nt_id, d, l, exact))]
+    r = tab.rules_by_lhs[nt_id][_weighted_pick(words, tab.rule_pick(nt_id, d, l, exact))]
     kids = r.rhs_nonterminals()
     if not kids:
         out.extend(tab.shapes[r.id])
         return tab.leaves[r.id]
     if exact:
         plans, cum = tab.plan_pick(r, d, l)
-        plan = plans[_weighted_pick(stream, cum)]
+        plan = plans[_weighted_pick(words, cum)]
     else:  # the one plan _plans gives for depth at most d, without the call
         plan = ((d - 1, False),) * len(kids)
     lengths = []
     remaining = l
     for j in range(len(kids)):
         choices, cum = tab.length_pick(r, plan, j, remaining)
-        lj = choices[_weighted_pick(stream, cum)]
+        lj = choices[_weighted_pick(words, cum)]
         lengths.append(lj)
         remaining -= lj
     children = []
@@ -397,10 +381,10 @@ def sample_corpus(g: Grammar, bucket: SampleBucket, n: int, rng=None) -> list:
     if n and not cells:
         raise UnsatisfiableBucket(f"no derivation fits {bucket}")
     out = []
-    words = _Words(rng)
+    words = _words(rng)
     try:
         for _ in range(n):
-            d, l = cells[_rand_below(words.stream, len(cells))]
+            d, l = cells[_rand_below(words, len(cells))]
             tokens = []
             t = _sample(tab, words, g.start.id, d, l, True, tokens)
             out.append((tuple(tokens), t))

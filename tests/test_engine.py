@@ -16,7 +16,7 @@ from ngparse.engine import (
     model_selector,
     oracle_selector,
 )
-from ngparse.grammar import GrammarError, Nonterminal
+from ngparse.grammar import Grammar, GrammarError, Nonterminal, ProductionRule, Token
 from ngparse.guider import KEPT_TOKENS, predict_rule_distribution
 from ngparse.parser import ParseError, reference_parse
 from ngparse.sampler import SampleBucket, derive_seed, sample_corpus
@@ -559,6 +559,24 @@ def test_unknown_token_ids_are_unparseable_before_any_work(g, tiny_model, mode, 
         with pytest.raises(Unparseable, match=f"token id {span[pos]} at position {pos}"):
             infer(g, span, selector, InferConfig(mode=mode))
     assert calls == []
+
+
+def test_a_nonterminal_without_rules_gets_no_rule():
+    # S -> a, and X has no rules: no rule applies to X.
+    S, X, a = Nonterminal(0, "S"), Nonterminal(1, "X"), Token(0, "a")
+    g2 = Grammar((S, X), (a,), (ProductionRule(0, "S1", S, (a,)),), S)
+    m = guider.init_model(g2, d_emb=4, d_h=4)
+    assert predict_rule_distribution(g2, (0,), X, m).tolist() == [0.0]
+    select = model_selector(g2, m)
+    for span in ((0,), (0,) * (KEPT_TOKENS + 1)):
+        assert select(span, X, {}) == ()
+
+
+def test_an_empty_rhs_fails_inference_with_a_grammar_error(g):
+    empty = ProductionRule(len(g.rules), "S0", g.nonterminal("Stmt"), ())
+    g2 = Grammar(g.nonterminals, g.vocabulary, g.rules + (empty,), g.start)
+    with pytest.raises(GrammarError, match="^rule S0: empty rhs"):
+        infer(g2, g.encode("v0 = 0 ;"), lambda tokens, nt, states: ())
 
 
 def test_beam_parses_the_benchmark_pool_that_exhausted_it(g):

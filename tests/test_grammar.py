@@ -191,3 +191,12 @@ def test_candidates_filter_by_lookahead(g):
     for bogus in (Nonterminal(99, "Bogus"), Nonterminal(stmt.id, "Bogus")):
         with pytest.raises(GrammarError):
             g.candidates(bogus, v0, semi)
+
+
+def test_an_empty_rhs_is_a_grammar_error_naming_the_rule(g):
+    # FIRST and LAST assume that every rule derives a nonempty string.
+    empty = ProductionRule(len(g.rules), "S0", g.nonterminal("Stmt"), ())
+    g2 = _make(g.nonterminals, g.rules + (empty,), g.start)
+    for lookup in (lambda: g2.lookahead, lambda: g2.candidates(empty.lhs, 0, 0)):
+        with pytest.raises(GrammarError, match=r"^rule S0: empty rhs"):
+            lookup()

@@ -341,7 +341,7 @@ def test_draws_are_pinned(g):
     assert h.hexdigest() == PINNED_CORPUS_SHA256
 
     tab = sampler._table(g, 8, 16)
-    words = sampler._Words(np.random.default_rng(5))
+    words = sampler._words(np.random.default_rng(5))
     h = hashlib.sha256()
     for nt in g.nonterminals:
         for d in (1, 2):
@@ -393,7 +393,7 @@ def test_drawn_tokens_are_the_yield_and_leaves_are_shared(bucket):
 
 def test_depth_at_most_draws_emit_the_yield(g):
     tab = sampler._table(g, 9, 15)
-    words = sampler._Words(np.random.default_rng(8))
+    words = sampler._words(np.random.default_rng(8))
     try:
         for nt in g.nonterminals:
             for l in range(16):
@@ -428,15 +428,25 @@ def test_generator_state_after_sampling_is_pinned(g):
 
 
 def test_a_failed_draw_leaves_the_generator_after_the_words_it_used(g, monkeypatch):
-    sample, calls, used = sampler._sample, [], []
+    sample, make_words, calls, served, used = sampler._sample, sampler._words, [], [], []
+
+    def counted_words(rng):
+        inner = make_words(rng)
+        try:
+            for w in inner:
+                served.append(w)
+                yield w
+        finally:
+            inner.close()
 
     def tenth_node_fails(tab, words, *args):
         calls.append(args)
         if len(calls) == 10:
-            used.append(words.served())
+            used.append(len(served))
             raise RuntimeError("draw failed")
         return sample(tab, words, *args)
 
+    monkeypatch.setattr(sampler, "_words", counted_words)
     monkeypatch.setattr(sampler, "_sample", tenth_node_fails)
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(RuntimeError, match="draw failed"):
@@ -445,6 +455,28 @@ def test_a_failed_draw_leaves_the_generator_after_the_words_it_used(g, monkeypat
     assert count > 2
     twin.integers(0, 1 << 32, size=count, dtype=np.uint64)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_sample_corpus_closes_its_word_generator(g, monkeypatch):
+    """The word generator's finally moves the rng back, so one left open
+    would move it whenever it is collected: sample_corpus closes it after
+    a normal return and after a draw that raises."""
+    rng = np.random.default_rng(4)
+    sample_corpus(g, SampleBucket(8, 30, 1, 11), 5, rng)
+    state = rng.bit_generator.state
+    gc.collect()
+    assert rng.bit_generator.state == state
+
+    def fails(*args):
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(sampler, "_sample", fails)
+    with pytest.raises(RuntimeError, match="draw failed") as failed:
+        sample_corpus(g, SampleBucket(8, 30, 1, 11), 5, rng)
+    state = rng.bit_generator.state  # the traceback keeps the call's frame
+    del failed
+    gc.collect()
+    assert rng.bit_generator.state == state
 
 
 def _scan_pick(x: int, weights) -> int:
