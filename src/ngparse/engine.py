@@ -20,8 +20,7 @@ from .guider import (
     predict_rule_distribution,
 )
 from .parser import ParseError, reference_parse
-from .search import share_subtrees
-from .tree import Ast, TreeError, pretty_print
+from .tree import Ast, TreeError, pretty_print, shared_node
 
 __all__ = [
     "InferConfig",
@@ -179,10 +178,10 @@ def infer(
     (top-ranked rule only) search them depth first; beam keeps the
     best-scoring partial derivations of each level. An empty input, or one
     with a token id outside the vocabulary, raises Unparseable before any
-    work; so does a token id that is not an integer. The result's subtrees
-    of at most three tokens are the grammar's shared copies
-    (search.share_subtrees), so a caller that keeps many results holds about
-    a third of the bytes; compare trees with ==.
+    work; so does a token id that is not an integer. Each node is built
+    through tree.shared_node, so the result's subtrees of at most three
+    tokens are the grammar's shared copies and a caller that keeps many
+    results holds about a third of the bytes; compare trees with ==.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -226,7 +225,6 @@ def infer(
             result = _infer_beam(g, expand, tokens, nt, cfg)
         else:
             result = _infer_dfs(g, expand, tokens, nt, cfg.max_recursion_depth, 1)
-        result = share_subtrees(g, result)
         consistent = pretty_print(g, result) == tokens
     except (RecursionError, TreeError) as exc:
         # The trees built here are well formed, so the verification walk
@@ -250,7 +248,7 @@ def _infer_dfs(g, expand, tokens, nt, max_depth, level):
                 children.append(_infer_dfs(g, expand, comp, knt, max_depth, level + 1))
         except Unparseable:
             continue
-        return g.leaves[rule.id] or Ast(rule.id, tuple(children))
+        return g.leaves[rule.id] or shared_node(g, rule.id, tuple(children), len(tokens))
     raise Unparseable(f"all rules exhausted for {nt.name}")
 
 
@@ -287,10 +285,12 @@ def _infer_beam(g, expand, tokens, nt, cfg):
 
 
 def _tree_from_preorder(g, rule_ids, idx):
+    """(subtree starting at preorder rule_ids[idx], index after it, yield length)"""
     rule = g.rule_by_id(rule_ids[idx])
     idx += 1
-    children = []
+    children, length = [], rule.rhs_terminal_count()
     for _ in rule.rhs_nonterminals():
-        child, idx = _tree_from_preorder(g, rule_ids, idx)
+        child, idx, k = _tree_from_preorder(g, rule_ids, idx)
         children.append(child)
-    return g.leaves[rule.id] or Ast(rule.id, tuple(children)), idx
+        length += k
+    return g.leaves[rule.id] or shared_node(g, rule.id, tuple(children), length), idx, length

@@ -146,6 +146,7 @@ class Grammar:
         self._tok_by_text = {t.text: t for t in self.vocabulary}
         self._rule_by_name = {}
         self._candidates = {}
+        self.small_trees = {}  # tree.shared_node's one copy of each small tree
         by_lhs = [[] for _ in self.nonterminals]
         for r in self.rules:
             if not 0 <= r.lhs.id < len(by_lhs):

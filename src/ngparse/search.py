@@ -5,31 +5,19 @@ bounds, and minimum-yield-length bounds; rule order is rule-id order with
 leftmost nonterminal expanded first. Each rule's rhs is read from the
 grammar's search plans, built once per grammar.
 
-A found tree hands each subtree of at most three tokens over to one copy
-kept per grammar, so result trees may share frozen subtrees with other
-results: compare them with ``==``.
+Nodes are built through tree.shared_node, so result trees may share their
+frozen subtrees of at most three tokens: compare them with ``==``.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 
 from .grammar import Grammar, check_int, check_number
-from .tree import Ast
+from .tree import Ast, shared_node
 
 __all__ = ["SearchConfig", "SearchResult", "iddfs_parse"]
-
-# A found tree's subtrees of at most _SHARE_MAX_YIELD tokens, and those of
-# engine.infer's results, are swapped for one copy per grammar
-# (build_grammar() has 1,530 such trees), so a caller
-# that keeps many results, as perfbench's closed loop does, holds about a
-# third of the bytes; once a grammar's table holds _SHARE_MAX_ENTRIES,
-# subtrees not in it stay as they are.
-_SHARE_MAX_YIELD = 3
-_SHARE_MAX_ENTRIES = 4096
-_shared = weakref.WeakKeyDictionary()  # grammar -> {small tree: its one copy}
 
 
 @dataclass(frozen=True)
@@ -44,7 +32,7 @@ class SearchConfig:
 
 @dataclass(slots=True)
 class SearchResult:
-    status: str  # "found" | "timeout" | "exhausted"
+    status: str  # "found" | "timeout" | "exhausted" | "depth_limit" (see iddfs_parse)
     tree: Ast | None = None
     depth_limit: int = 0
     elapsed_s: float = 0.0
@@ -61,9 +49,12 @@ def _unknown_token(tok, pos) -> ValueError:
 
 def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Depth limits 1, 2, ... up to cfg.max_depth; within each, DFS over
-    derivations rooted at the start symbol. Timeouts and exhaustion are
-    results, not exceptions; an empty input, or a token id that is not an
-    integer in the vocabulary, raises ValueError."""
+    derivations rooted at the start symbol. Timeouts, exhaustion and a
+    search deeper than Python's stack allows (status "depth_limit", with
+    the depth limit it reached) are results, not exceptions; an empty
+    input, or a token id that is not an integer in the vocabulary, raises
+    ValueError. A found tree's subtrees of at most three tokens are the
+    grammar's copies (tree.shared_node)."""
     toks = tuple(tokens)
     if not toks:
         raise ValueError("empty input")
@@ -92,11 +83,12 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
                 if toks[pos] == steps[0][0]:
                     yield leaf, pos + 1
                 continue
-            yield from _expand(rule_id, steps, 0, pos, (), budget, tail_min)
+            yield from _expand(rule_id, steps, 0, pos, (), budget, tail_min, pos)
 
-    def _expand(rule_id, steps, i, pos, children, budget, tail_min):
-        """Match steps[i:] from pos: terminals inline, then one child
-        derivation per way the next nonterminal can be derived."""
+    def _expand(rule_id, steps, i, pos, children, budget, tail_min, start):
+        """Match steps[i:] from pos, for the rule whose yield starts at
+        start: terminals inline, then one child derivation per way the next
+        nonterminal can be derived."""
         while i < len(steps):
             tok, nt_id, after = steps[i]
             if nt_id is not None:
@@ -106,20 +98,21 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
             i += 1
             pos += 1
         else:
-            yield Ast(rule_id, children), pos
+            yield shared_node(g, rule_id, children, pos - start), pos
             return
         for child, end in search(nt_id, pos, budget - 1, after + tail_min):
             yield from _expand(
-                rule_id, steps, i + 1, end, children + (child,), budget, tail_min
+                rule_id, steps, i + 1, end, children + (child,), budget, tail_min, start
             )
 
+    reached = cfg.max_depth
     try:
         for limit in range(min_depth[g.start.id], cfg.max_depth + 1):
             for tree, end in search(g.start.id, 0, limit, 0):
                 if end == n:
                     return SearchResult(
                         "found",
-                        tree=share_subtrees(g, tree),
+                        tree=tree,
                         depth_limit=limit,
                         elapsed_s=time.perf_counter() - start_time,
                         nodes_expanded=expanded,
@@ -127,36 +120,11 @@ def iddfs_parse(g: Grammar, tokens, cfg: SearchConfig = SearchConfig()) -> Searc
         status = "exhausted"
     except _Timeout:
         status = "timeout"
+    except RecursionError:
+        status, reached = "depth_limit", limit
     return SearchResult(
         status,
-        depth_limit=cfg.max_depth,
+        depth_limit=reached,
         elapsed_s=time.perf_counter() - start_time,
         nodes_expanded=expanded,
     )
-
-
-def share_subtrees(g: Grammar, tree: Ast) -> Ast:
-    """tree with each small subtree replaced by the grammar's one copy of
-    it, in one bottom-up pass."""
-    table = _shared.get(g)
-    if table is None:
-        table = _shared[g] = {}
-    rules = g.rules
-
-    def walk(t):
-        # each child stands for one rhs nonterminal; the rest are terminals
-        kids, moved = [], False
-        length = len(rules[t.rule_id].rhs) - len(t.children)
-        for c in t.children:
-            kid, k = walk(c)
-            kids.append(kid)
-            length += k
-            moved = moved or kid is not c
-        if moved:
-            t = Ast(t.rule_id, tuple(kids))
-        if length <= _SHARE_MAX_YIELD:
-            full = len(table) >= _SHARE_MAX_ENTRIES
-            t = table.get(t, t) if full else table.setdefault(t, t)
-        return t, length
-
-    return walk(tree)[0]

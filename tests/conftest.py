@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
@@ -74,6 +75,22 @@ def one_blas_thread():
         yield
     finally:
         put(before)
+
+
+@contextmanager
+def stack_room(frames):
+    """Run the block with Python's recursion limit set to frames more than
+    the caller's stack depth, so a search runs out of stack quickly; the
+    old limit comes back in the end."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def model_digest_mismatch(pinned, kernel, digest):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cli_env, save_with_tensors
+from conftest import cli_env, save_with_tensors, stack_room
 from ngparse import cli, engine, evaluate, grammar, guider, search
 
 
@@ -208,6 +208,18 @@ def test_fault_during_parse_exits_two(args, target, monkeypatch, capsys):
     assert cli.main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: injected fault\n"
+
+
+def test_search_too_deep_for_the_stack_is_an_error_line(g, monkeypatch, capsys):
+    deep = " ".join(["v0 = 1 ;"] * 80)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{deep}\nv0 = 1 ;\n"))
+    with stack_room(150):
+        assert cli.main(["search", "--max-depth", "2000"]) == 0
+        run = evaluate.search_runner(g, search.SearchConfig(max_depth=2000))
+        assert run(g.encode(deep)) == (None, "depth_limit")
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["ERROR depth_limit", "(S2 (A1 (V1) (E3 (T2 (F3 (C2))))))"]
+    assert err == ""
 
 
 def test_infer_non_finite_model_exits_two(tiny_model, tmp_path):

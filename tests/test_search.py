@@ -5,11 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import enumerated_trees
+from conftest import enumerated_trees, stack_room
 from ngparse.grammar import Grammar, Nonterminal, ProductionRule, Token, build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import SampleBucket, sample_corpus
-from ngparse import search
+from ngparse import tree as tree_module
 from ngparse.search import SearchConfig, iddfs_parse
 from ngparse.tree import Ast, pretty_print, serialize
 
@@ -42,6 +42,17 @@ def test_timeout_is_a_result(g):
     res = iddfs_parse(g, long_program, SearchConfig(max_depth=30, time_limit_s=1e-4))
     assert res.status == "timeout"
     assert res.tree is None
+
+
+def test_python_stack_running_out_is_a_depth_limit_result(g):
+    # 80 statements need depth 85; 100 frames of stack run out near 33.
+    tokens = g.encode(" ".join(["v0 = 1 ;"] * 80))
+    with stack_room(100):
+        res = iddfs_parse(g, tokens, SearchConfig(max_depth=2000, time_limit_s=60))
+        short = iddfs_parse(g, tokens[:20], SearchConfig(max_depth=2000, time_limit_s=60))
+    assert res.status == "depth_limit" and res.tree is None
+    assert 10 < res.depth_limit < 85 and res.nodes_expanded > 0
+    assert short.status == "found" and pretty_print(g, short.tree) == tokens[:20]
 
 
 def test_empty_input_rejected(g):
@@ -215,7 +226,7 @@ def _shared_corpus_trees(g):
 def test_results_share_small_subtrees():
     g = build_grammar()  # a fresh grammar: its table holds these results only
     trees = _shared_corpus_trees(g)
-    small = search._SHARE_MAX_YIELD
+    small = tree_module._SHARE_MAX_YIELD
     first = {}  # small subtree -> the first object seen with its value
     holders = {}  # small subtree -> indices of the results it occurs in
     for i, tree in enumerate(trees):
@@ -234,20 +245,21 @@ def test_results_share_small_subtrees():
 
     trees_of_small_yield = enumerated_trees(g, 16, small)
     assert sum(n for counts in trees_of_small_yield.values() for n in counts.values()) == 1530
-    assert 0 < len(search._shared[g]) <= 1530
+    assert 0 < len(g.small_trees) <= 1530
+    assert all(len(pretty_print(g, t)) <= small for t in g.small_trees.values())
 
 
 def test_a_full_share_table_keeps_its_size(monkeypatch):
     g = build_grammar()
-    monkeypatch.setattr(search, "_SHARE_MAX_ENTRIES", 5)
+    monkeypatch.setattr(tree_module, "_SHARE_MAX_ENTRIES", 5)
     _shared_corpus_trees(g)
-    assert len(search._shared[g]) == 5
+    assert len(g.small_trees) == 5
 
 
 def test_shared_subtrees_do_not_grow_with_the_shortest_program():
     """S -> P P P P P; P -> A A A A; A -> a | b: the shortest program has
-    20 tokens, yet only the two one-token leaves are kept, not the 16
-    four-token P trees."""
+    20 tokens, yet only the two one-token leaves are shared, as g.leaves,
+    and the table keeps none of the 16 four-token P trees."""
     S, P, A = Nonterminal(0, "S"), Nonterminal(1, "P"), Nonterminal(2, "A")
     a, b = Token(0, "a"), Token(1, "b")
     table = [("S1", S, (P,) * 5), ("P1", P, (A,) * 4), ("A1", A, (a,)), ("A2", A, (b,))]
@@ -259,4 +271,8 @@ def test_shared_subtrees_do_not_grow_with_the_shortest_program():
         tokens = tuple((k >> j) & 1 for j in range(4)) * 5
         res = iddfs_parse(g, tokens, cfg)
         assert res.status == "found" and pretty_print(g, res.tree) == tokens
-    assert set(search._shared[g]) == {Ast(2, ()), Ast(3, ())}
+        for node in _nodes(res.tree):
+            if not node.children:
+                assert node is g.leaves[node.rule_id]
+    assert g.leaves == (None, None, Ast(2, ()), Ast(3, ()))
+    assert g.small_trees == {}

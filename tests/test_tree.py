@@ -181,3 +181,39 @@ def test_depth_and_node_count_of_a_tree_deeper_than_the_stack(g):
     t = _s1_chain(g, 2000)
     assert depth(t) == 2006
     assert node_count(t) == 7 + 2000 * 7
+
+
+def test_parsers_share_small_subtrees_without_hashing_a_tree(monkeypatch):
+    # Imported here so the module's other tests do not load the parsers.
+    from ngparse.engine import InferConfig, infer, oracle_selector
+    from ngparse.grammar import build_grammar
+    from ngparse.search import SearchConfig, iddfs_parse
+
+    g = build_grammar()
+    corpus = sample_corpus(g, SampleBucket(6, 14, 1, 10, seed=45), 30)
+    hashed = []
+    ast_hash = Ast.__hash__
+
+    def counted(t):
+        hashed.append(t)
+        return ast_hash(t)
+
+    monkeypatch.setattr(Ast, "__hash__", counted)
+    select, cfg = oracle_selector(g), SearchConfig(max_depth=16, time_limit_s=60)
+    results = []
+    for tokens, truth in corpus:
+        for mode in ("fallback", "beam"):
+            results.append(infer(g, tokens, select, InferConfig(mode=mode)))
+        results.append(iddfs_parse(g, tokens, cfg).tree)
+        assert results[-3] == results[-2] == results[-1] == truth
+    assert hashed == []
+
+    copies = {}  # a small subtree's text -> the ids of the objects holding it
+    stack = list(results)
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if len(pretty_print(g, node)) <= 3:
+            copies.setdefault(serialize(g, node), set()).add(id(node))
+    assert len(copies) > 20
+    assert all(len(ids) == 1 for ids in copies.values())
