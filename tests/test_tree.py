@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from ngparse.engine import InferConfig, infer, oracle_selector
+from ngparse.grammar import build_grammar
 from ngparse.parser import reference_parse
 from ngparse.sampler import SampleBucket, extract_training_pairs, sample_corpus
+from ngparse.search import SearchConfig, iddfs_parse
 from ngparse.tree import (
     Ast,
     TreeError,
@@ -184,11 +187,6 @@ def test_depth_and_node_count_of_a_tree_deeper_than_the_stack(g):
 
 
 def test_parsers_share_small_subtrees_without_hashing_a_tree(monkeypatch):
-    # Imported here so the module's other tests do not load the parsers.
-    from ngparse.engine import InferConfig, infer, oracle_selector
-    from ngparse.grammar import build_grammar
-    from ngparse.search import SearchConfig, iddfs_parse
-
     g = build_grammar()
     corpus = sample_corpus(g, SampleBucket(6, 14, 1, 10, seed=45), 30)
     hashed = []
